@@ -193,10 +193,21 @@ RunProfile profile_run(const starvm::EngineStats& stats) {
 }
 
 void apply_store_rates(RunProfile& profile,
-                       const starvm::perf_store::Store& store) {
+                       const starvm::perf_store::Store& store,
+                       const pdl::Platform& platform) {
+  // A store is keyed by the driver-core-dedicated device list, which a
+  // profiled run need not use: match each drift row by device name.
+  std::map<std::string, int> store_ids;
+  if (auto table = starvm::platform_devices(platform); table.ok()) {
+    for (const starvm::PlatformDevice& device : table.value().devices) {
+      store_ids[device.spec.name] = device.store_id;
+    }
+  }
   for (RateDrift& d : profile.drift) {
+    const auto id = store_ids.find(d.device_name);
+    if (id == store_ids.end() || id->second < 0) continue;
     for (const starvm::perf_store::Entry& entry : store.entries) {
-      if (entry.codelet == d.label && entry.device == d.device &&
+      if (entry.codelet == d.label && entry.device == id->second &&
           entry.ema_gflops > 0.0) {
         d.store_gflops = entry.ema_gflops;
         if (d.measured_gflops > 0.0) {

@@ -100,10 +100,12 @@ RunProfile profile_run(const starvm::EngineStats& stats);
 /// Annotate the drift table with the learned rates of a persisted perf
 /// store (RateDrift::store_gflops / store_drift_ratio): the third column of
 /// the feedback loop — declared (PDL), learned (store), measured (this
-/// run). The caller is responsible for having matched the store's
+/// run). Rows map to store ids by device name through the bridge's table
+/// of `platform`. The caller is responsible for having matched the store's
 /// descriptor hash to the platform.
 void apply_store_rates(RunProfile& profile,
-                       const starvm::perf_store::Store& store);
+                       const starvm::perf_store::Store& store,
+                       const pdl::Platform& platform);
 
 /// Modeled vs measured, aggregated by task name (robust to the two sides
 /// decomposing work differently: all same-named tasks pool together).

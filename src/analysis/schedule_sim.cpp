@@ -7,173 +7,74 @@
 #include <tuple>
 
 #include "pdl/query.hpp"
-#include "pdl/well_known.hpp"
-#include "util/string_util.hpp"
+#include "starvm/bridge.hpp"
 
 namespace analysis {
 
 namespace {
 
-// Mirrors BridgeOptions defaults so the modeled schedule agrees with the
-// engine the bridge would actually build.
-constexpr double kDefaultCpuGflops = 5.0;
-constexpr double kDefaultAccelGflops = 50.0;
-// Control-link fallback when no Interconnect is declared (A502 fires, but
-// the schedule still needs a number); matches pdl::data_path_seconds.
-constexpr double kControlLinkBandwidthGbs = 10.0;
-constexpr double kControlLinkLatencyUs = 1.0;
-
-bool is_cpu_architecture(const pdl::ProcessingUnit& pu) {
-  const std::string arch = pdl::resolved_value(pu, pdl::props::kArchitecture);
-  return pdl::util::iequals(arch, "x86_core") ||
-         pdl::util::iequals(arch, "x86") ||
-         pdl::util::iequals(arch, "cpu_core") ||
-         pdl::util::iequals(arch, "ppe") ||
-         pdl::util::iequals(arch, "riscv") ||
-         pdl::util::iequals(arch, "riscv_core") || arch.empty();
-}
-
-/// Host memory space (index 0): the first sized MemoryRegion found on a
-/// Master, in declaration order. No capacity (0) when none declares SIZE.
-SimMemorySpace host_space(const pdl::Platform& platform) {
-  SimMemorySpace space;
-  space.label = "<host>";
-  for (const pdl::ProcessingUnit* master :
-       pdl::pus_of_kind(platform, pdl::PuKind::kMaster)) {
-    for (const pdl::MemoryRegion& mr : master->memory_regions()) {
-      if (auto bytes = pdl::props::memory_capacity_bytes(mr)) {
-        space.label = master->path() + "/" + mr.id;
-        space.loc = mr.loc.valid() ? mr.loc : master->loc();
-        space.pu_path = master->path();
-        space.capacity_bytes = *bytes;
-        return space;
-      }
-    }
-  }
-  return space;
-}
-
-struct Derived {
-  std::vector<SimDevice> devices;
-  std::vector<SimMemorySpace> spaces;
-  std::vector<SimInterconnect> interconnects;
-};
-
-Derived derive_devices(const pdl::Platform& platform) {
-  Derived d;
-  d.spaces.push_back(host_space(platform));
-
-  // Same executing set as the starvm bridge: Workers plus Hybrids.
-  std::vector<const pdl::ProcessingUnit*> executing =
-      pdl::pus_of_kind(platform, pdl::PuKind::kWorker);
-  for (const pdl::ProcessingUnit* hybrid :
-       pdl::pus_of_kind(platform, pdl::PuKind::kHybrid)) {
-    executing.push_back(hybrid);
-  }
-
-  std::map<const pdl::Interconnect*, int> ic_index;
-  for (const pdl::ProcessingUnit* pu : executing) {
-    if (is_cpu_architecture(*pu)) {
-      SimDevice dev;
-      dev.is_cpu = true;
-      dev.pu_path = pu->path();
-      dev.loc = pu->loc();
-      dev.gflops =
-          pdl::props::sustained_gflops(*pu, 0.9, kDefaultCpuGflops);
-      dev.space = 0;
-      // Bridge naming rule: `id` for quantity 1, `id#i` for expansions.
-      for (int i = 0; i < pu->quantity(); ++i) {
-        dev.name = pu->quantity() == 1 ? pu->id()
-                                       : pu->id() + "#" + std::to_string(i);
-        d.devices.push_back(dev);
-      }
-      continue;
-    }
-
-    SimDevice dev;
-    dev.is_cpu = false;
-    dev.pu_path = pu->path();
-    dev.loc = pu->loc();
-    dev.gflops = pdl::props::sustained_gflops(*pu, 0.65, kDefaultAccelGflops);
-    dev.link_bandwidth_gbs = kControlLinkBandwidthGbs;
-    dev.link_latency_us = kControlLinkLatencyUs;
-    dev.has_declared_link = false;
-    if (const pdl::ProcessingUnit* controller = pu->parent()) {
-      if (const pdl::Interconnect* ic = pdl::find_interconnect(
-              platform, controller->id(), pu->id())) {
-        dev.has_declared_link = true;
-        if (auto bw = pdl::props::link_bandwidth_gbs(*ic)) {
-          dev.link_bandwidth_gbs = *bw;
-        }
-        if (auto lat = pdl::props::link_latency_us(*ic)) {
-          dev.link_latency_us = *lat;
-        }
-        auto [it, inserted] =
-            ic_index.emplace(ic, static_cast<int>(d.interconnects.size()));
-        if (inserted) {
-          SimInterconnect sic;
-          sic.label = ic->from + "<->" + ic->to;
-          if (!ic->type.empty()) sic.label += " (" + ic->type + ")";
-          sic.loc = ic->loc;
-          d.interconnects.push_back(std::move(sic));
-        }
-        dev.ic = it->second;
-      }
-    }
-
-    // One memory space per accelerator *instance*: each carries its own
-    // copy of the declared capacity (quantity="2" means two physical
-    // devices with two local memories, not one shared pool).
-    const pdl::MemoryRegion* sized = nullptr;
-    std::uint64_t capacity = 0;
-    for (const pdl::MemoryRegion& mr : pu->memory_regions()) {
-      if (auto bytes = pdl::props::memory_capacity_bytes(mr)) {
-        sized = &mr;
-        capacity = *bytes;
-        break;
-      }
-    }
-    for (int i = 0; i < pu->quantity(); ++i) {
-      dev.name = pu->quantity() == 1 ? pu->id()
-                                     : pu->id() + "#" + std::to_string(i);
-      SimMemorySpace space;
-      space.label = sized != nullptr
-                        ? dev.name + "/" + sized->id
-                        : dev.name + "/<no sized MemoryRegion>";
-      space.loc = sized != nullptr && sized->loc.valid() ? sized->loc
-                                                         : pu->loc();
-      space.pu_path = pu->path();
-      space.capacity_bytes = capacity;
-      dev.space = static_cast<int>(d.spaces.size());
-      d.spaces.push_back(std::move(space));
-      d.devices.push_back(dev);
-    }
-  }
-
-  if (d.devices.empty() && !platform.masters().empty()) {
-    // The "single" configuration: the Master executes everything itself.
-    const pdl::ProcessingUnit& master = *platform.masters().front();
-    SimDevice dev;
-    dev.is_cpu = true;
-    dev.name = "master:" + master.id();
-    dev.pu_path = master.path();
-    dev.loc = master.loc();
-    dev.gflops = pdl::props::sustained_gflops(master, 0.9, kDefaultCpuGflops);
-    dev.space = 0;
-    d.devices.push_back(std::move(dev));
-  }
-  return d;
-}
-
 double compute_estimate(const starvm::GraphTask& task, const SimDevice& dev,
-                        int device_index, const starvm::PerfModel* model) {
+                        const starvm::PerfModel* model) {
   if (model != nullptr) {
-    if (auto h = model->history_estimate(task.name, device_index)) return *h;
+    if (auto h = model->history_estimate(task.name, dev.store_id)) return *h;
   }
   if (task.flops > 0.0 && dev.gflops > 0.0) {
     return task.flops / (dev.gflops * 1e9);
   }
   return starvm::PerfModel::default_estimate_seconds();
+}
+
+/// Devices, memory spaces and interconnects from the bridge's table:
+/// space 0 is the host region every CPU shares; each accelerator instance
+/// owns one space (quantity="2" means two local memories, not one pool).
+void add_devices(const starvm::PlatformDevices& table, SchedulePlan& plan) {
+  SimMemorySpace& host = plan.spaces.emplace_back();
+  host.label = "<host>";
+  if (table.host_memory != nullptr) {
+    host.label = table.host->path() + "/" + table.host_memory->id;
+    host.loc = table.host_memory->loc.valid() ? table.host_memory->loc
+                                              : table.host->loc();
+    host.pu_path = table.host->path();
+    host.capacity_bytes = table.host_memory_bytes;
+  }
+
+  std::map<const pdl::Interconnect*, int> ic_index;
+  for (const starvm::PlatformDevice& device : table.devices) {
+    SimDevice dev;
+    dev.name = device.spec.name;
+    dev.pu_path = device.pu->path();
+    dev.loc = device.pu->loc();
+    dev.is_cpu = device.spec.kind == starvm::DeviceKind::kCpu;
+    dev.gflops = device.spec.sustained_gflops;
+    dev.store_id = device.store_id;
+    if (!dev.is_cpu) {
+      dev.link_bandwidth_gbs = device.spec.link_bandwidth_gbs;
+      dev.link_latency_us = device.spec.link_latency_us;
+      dev.has_declared_link = device.link != nullptr;
+      if (device.link != nullptr) {
+        auto [it, inserted] = ic_index.emplace(
+            device.link, static_cast<int>(plan.interconnects.size()));
+        if (inserted) {
+          SimInterconnect& sic = plan.interconnects.emplace_back();
+          sic.label = device.link->from + "<->" + device.link->to;
+          if (!device.link->type.empty()) sic.label += " (" + device.link->type + ")";
+          sic.loc = device.link->loc;
+        }
+        dev.ic = it->second;
+      }
+      dev.space = static_cast<int>(plan.spaces.size());
+      SimMemorySpace& space = plan.spaces.emplace_back();
+      space.label = dev.name + "/" +
+                    (device.memory != nullptr ? device.memory->id
+                                              : "<no sized MemoryRegion>");
+      space.loc = device.memory != nullptr && device.memory->loc.valid()
+                      ? device.memory->loc
+                      : device.pu->loc();
+      space.pu_path = dev.pu_path;
+      if (device.memory != nullptr) space.capacity_bytes = device.spec.memory_bytes;
+    }
+    plan.devices.push_back(std::move(dev));
+  }
 }
 
 /// One closed residency interval of a root buffer in a memory space,
@@ -270,10 +171,9 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
                                const pdl::Platform& platform,
                                const starvm::PerfModel* model) {
   SchedulePlan plan;
-  Derived derived = derive_devices(platform);
-  plan.devices = std::move(derived.devices);
-  plan.spaces = std::move(derived.spaces);
-  plan.interconnects = std::move(derived.interconnects);
+  auto table = starvm::platform_devices(platform);
+  if (!table.ok()) return plan;
+  add_devices(table.value(), plan);
 
   const auto& tasks = graph.tasks();
   const auto& buffers = graph.buffers();
@@ -314,19 +214,18 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
     double best = 0.0;
     for (int c = 0; c < nclasses; ++c) {
       const int d = class_rep[c];
-      const double est = compute_estimate(tasks[t], plan.devices[d], d, model);
+      const double est = compute_estimate(tasks[t], plan.devices[d], model);
       if (c == 0 || est < best) best = est;
     }
     fastest[t] = best;
   }
-  const std::vector<starvm::TaskGraph::Edge> edges = graph.edges();
-  {
-    std::vector<std::vector<int>> preds(tasks.size());
-    for (const auto& e : edges) {
-      if (e.from >= 0 && e.from < n && e.to >= 0 && e.to < n) {
-        preds[e.to].push_back(e.from);
-      }
+  std::vector<std::vector<int>> preds(tasks.size());
+  for (const auto& e : graph.edges()) {
+    if (e.from >= 0 && e.from < n && e.to >= 0 && e.to < n) {
+      preds[e.to].push_back(e.from);
     }
+  }
+  {
     std::vector<double> dp(tasks.size(), 0.0);
     std::vector<int> via(tasks.size(), -1);
     int tail = -1;
@@ -353,13 +252,6 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
   }
 
   // --- HEFT placement with residency-aware transfer modeling ----------------
-  std::vector<std::vector<int>> preds(tasks.size());
-  for (const auto& e : edges) {
-    if (e.from >= 0 && e.from < n && e.to >= 0 && e.to < n) {
-      preds[e.to].push_back(e.from);
-    }
-  }
-
   // Residency: which spaces hold a current copy of each root, and since when.
   std::vector<std::map<int, double>> resident(buffers.size());
   for (int b = 0; b < static_cast<int>(buffers.size()); ++b) {
@@ -403,8 +295,8 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
           src_dev != nullptr
               ? starvm::transfer_seconds(bytes, src_dev->link_bandwidth_gbs,
                                          src_dev->link_latency_us)
-              : starvm::transfer_seconds(bytes, kControlLinkBandwidthGbs,
-                                         kControlLinkLatencyUs);
+              : starvm::transfer_seconds(bytes, pdl::kControlLinkBandwidthGbs,
+                                         pdl::kControlLinkLatencyUs);
       if (charge && src_dev != nullptr && src_dev->ic >= 0) {
         windows.push_back({src_dev->ic, clock, clock + leg});
         plan.interconnects[src_dev->ic].transfers += 1;
@@ -475,8 +367,10 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
       for (int root : roots) {
         transfer += transfer_legs(root, dev, start + transfer, false, nullptr);
       }
-      const double compute =
-          compute_estimate(tasks[t], dev, class_rep[c], model);
+      // Estimates come from the class representative, so a store rate
+      // learned on it applies to the whole class.
+      const double compute = compute_estimate(
+          tasks[t], plan.devices[static_cast<std::size_t>(class_rep[c])], model);
       const double finish = start + transfer + compute;
       if (c == 0 || finish < best_finish) {
         best = d;

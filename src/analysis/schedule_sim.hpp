@@ -1,13 +1,13 @@
 // Static HEFT schedule simulation: place a recorded starvm::TaskGraph onto
 // the device set a PDL platform describes, entirely at analysis time.
 //
-// The simulator mirrors the starvm bridge's reading of the platform (same
-// PU classification, same GFLOPS precedence, same MemoryRegion/Interconnect
-// lookups — via pdl::props accessors) and the engine's HEFT placement
-// (earliest finish time including modeled transfers), but never executes
-// anything: compute costs come from a side-effect-free PerfModel probe or
-// the analytic FLOPs model, transfer costs from the declared BANDWIDTH_GB_S
-// / LATENCY_US. The resulting SchedulePlan carries everything the A5xx
+// Devices, memory spaces and links come from the starvm bridge's device
+// table (starvm::platform_devices), the same reading of the platform the
+// engine is configured from. Placement mirrors the engine's HEFT (earliest
+// finish time including modeled transfers), but never executes anything:
+// compute costs come from a side-effect-free PerfModel probe or the
+// analytic FLOPs model, transfer costs from the devices' link parameters.
+// The resulting SchedulePlan carries everything the A5xx
 // capacity/interference rules (capacity.hpp) and the plan-summary renderer
 // need: per-task placements, per-space peak footprints, per-interconnect
 // contention windows, device loads, makespan, and the critical-path lower
@@ -44,6 +44,9 @@ struct SimDevice {
   /// False when the PU has no declared Interconnect to its controller and
   /// transfers were modeled with control-link defaults (A502).
   bool has_declared_link = true;
+  /// Device id in a perf store learned on this platform; -1 = none (a
+  /// driver core the engine never runs tasks on).
+  int store_id = -1;
 };
 
 /// One memory space buffers can be resident in: the host region (index 0,
@@ -88,10 +91,11 @@ struct SchedulePlan {
 };
 
 /// Simulate a HEFT schedule of `graph` on `platform`. `model`, when given,
-/// supplies calibrated per-(codelet, device-kind) history via its
-/// side-effect-free probe; without it (the static-tool case) costs are
-/// purely analytic. Platforms without any executing PU fall back to the
-/// Master as a single CPU device, like the starvm bridge.
+/// supplies calibrated per-(codelet, device) history, indexed by
+/// SimDevice::store_id, via its side-effect-free probe; without it (the
+/// static-tool case) costs are purely analytic. Platforms without any
+/// executing PU fall back to the Master as a single CPU device, like the
+/// starvm bridge; a platform without a Master gives an empty plan.
 SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
                                const pdl::Platform& platform,
                                const starvm::PerfModel* model = nullptr);

@@ -52,28 +52,22 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
   // ranks variants by measured rate (paper §IV-C step 2, but from learned
   // history instead of declared properties). Any rejection degrades to
   // declared-rate selection — the engine counts it in EngineStats too.
-  const std::string store_path = options_.perf_store_path.empty()
-                                     ? starvm::perf_store::env_store_path()
-                                     : options_.perf_store_path;
+  const std::string store_path =
+      starvm::perf_store::resolve_path(options_.perf_store_path);
   SelectionOptions sel_options;
   sel_options.min_samples = options_.perf_min_samples;
   sel_options.accuracy = options_.accuracy;
   if (!store_path.empty()) {
-    auto loaded = starvm::perf_store::load(store_path);
+    auto loaded = starvm::perf_store::load_for(store_path, engine_config.devices);
     if (loaded.status == starvm::perf_store::LoadStatus::kLoaded) {
-      if (loaded.store.descriptor_hash ==
-          starvm::perf_store::descriptor_hash(engine_config.devices)) {
-        perf_store_ = std::move(loaded.store);
-        perf_store_loaded_ = true;
-        sel_options.perf_store = &perf_store_;
-      } else {
-        pdl::add_info(diags_, "perf store '" + store_path +
-                                  "' ignored: descriptor hash mismatch "
-                                  "(stale store from another platform)");
-      }
+      perf_store_ = std::move(loaded.store);
+      perf_store_loaded_ = true;
+      sel_options.perf_store = &perf_store_;
     } else if (loaded.status != starvm::perf_store::LoadStatus::kMissing) {
-      pdl::add_info(diags_,
-                    "perf store '" + store_path + "' ignored: " + loaded.detail);
+      const bool stale = loaded.status == starvm::perf_store::LoadStatus::kMismatch;
+      pdl::add_info(diags_, "perf store '" + store_path + "' ignored: " +
+                                loaded.detail +
+                                (stale ? " (stale store from another platform)" : ""));
     }
   }
   selection_ = preselect(repository_, platform_, diags_, sel_options);

@@ -68,7 +68,8 @@ struct Options {
   /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"):
   /// forwarded to EngineConfig::perf_store_path, and the same file is read
   /// up front so static pre-selection ranks variants by measured rate.
-  /// Empty = consult PDL_PERF_STORE ("0"/unset disables persistence).
+  /// Empty = consult PDL_PERF_STORE; "0" here or there (or unset) disables
+  /// persistence (starvm::perf_store::resolve_path).
   std::string perf_store_path;
   /// Sample-count threshold before a store entry may override declared
   /// rates in pre-selection (SelectionOptions::min_samples).

@@ -97,15 +97,19 @@ const Interconnect* find_interconnect(const Platform& platform, std::string_view
 /// All interconnects declared anywhere in the platform.
 std::vector<const Interconnect*> all_interconnects(const Platform& platform);
 
+/// Control-link defaults: the parameters of a link with no Interconnect, or
+/// whose Interconnect omits BANDWIDTH_GB_S / LATENCY_US.
+constexpr double kControlLinkBandwidthGbs = 10.0;
+constexpr double kControlLinkLatencyUs = 1.0;
+
 /// Modeled time [s] to move `bytes` along a derived data path, summing
 /// latency + bytes/bandwidth per hop from the ICDescriptors
 /// (BANDWIDTH_GB_S, LATENCY_US). Hops without an explicit interconnect —
 /// control links — use `default_bandwidth_gbs` / `default_latency_us`.
 /// Returns nullopt for an empty path (unconnected PUs).
-std::optional<double> data_path_seconds(const Platform& platform,
-                                        std::string_view from_id,
-                                        std::string_view to_id, std::size_t bytes,
-                                        double default_bandwidth_gbs = 10.0,
-                                        double default_latency_us = 1.0);
+std::optional<double> data_path_seconds(
+    const Platform& platform, std::string_view from_id, std::string_view to_id,
+    std::size_t bytes, double default_bandwidth_gbs = kControlLinkBandwidthGbs,
+    double default_latency_us = kControlLinkLatencyUs);
 
 }  // namespace pdl

@@ -14,11 +14,11 @@ std::optional<std::uint64_t> memory_capacity_bytes(const MemoryRegion& mr) {
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> memory_capacity_bytes(const ProcessingUnit& pu) {
+const MemoryRegion* sized_memory_region(const ProcessingUnit& pu) {
   for (const MemoryRegion& mr : pu.memory_regions()) {
-    if (auto bytes = memory_capacity_bytes(mr)) return bytes;
+    if (memory_capacity_bytes(mr)) return &mr;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 double sustained_gflops(const ProcessingUnit& pu, double peak_fraction,

@@ -85,9 +85,9 @@ inline constexpr const char* kArchPpe = "ppe";   // Cell power PU
 /// bytes. nullopt when absent, non-numeric, or the unit is unknown.
 std::optional<std::uint64_t> memory_capacity_bytes(const MemoryRegion& mr);
 
-/// Capacity of a PU's directly attached memory: the first MemoryRegion with
-/// a usable SIZE, in declaration order. nullopt when no region declares one.
-std::optional<std::uint64_t> memory_capacity_bytes(const ProcessingUnit& pu);
+/// A PU's directly attached memory: the first MemoryRegion with a usable
+/// SIZE, in declaration order. nullptr when no region declares one.
+const MemoryRegion* sized_memory_region(const ProcessingUnit& pu);
 
 /// Effective compute rate of a PU in GFLOP/s with the toolchain-wide
 /// precedence: MEASURED_GFLOPS (runtime feedback) beats SUSTAINED_GFLOPS

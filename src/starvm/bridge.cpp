@@ -25,19 +25,19 @@ void apply_reliability(const pdl::ProcessingUnit& pu, DeviceSpec& spec) {
 
 }  // namespace
 
-pdl::util::Result<EngineConfig> engine_config_from_platform(
-    const pdl::Platform& platform, const BridgeOptions& options) {
+pdl::util::Result<PlatformDevices> platform_devices(const pdl::Platform& platform) {
   if (platform.masters().empty()) {
     return pdl::util::Error{"platform has no Master PU"};
   }
-
-  EngineConfig config;
-  config.scheduler = options.scheduler;
-  config.mode = options.mode;
-  config.record_decisions = options.record_decisions;
-
-  std::vector<DeviceSpec> cpus;
-  std::vector<DeviceSpec> accelerators;
+  PlatformDevices out;
+  for (const pdl::ProcessingUnit* master :
+       pdl::pus_of_kind(platform, pdl::PuKind::kMaster)) {
+    if ((out.host_memory = pdl::props::sized_memory_region(*master)) != nullptr) {
+      out.host = master;
+      out.host_memory_bytes = *pdl::props::memory_capacity_bytes(*out.host_memory);
+      break;
+    }
+  }
 
   // Workers execute tasks; Hybrid PUs "act as master and worker at the
   // same time" (paper §III-A), so they contribute execution capacity too.
@@ -48,78 +48,92 @@ pdl::util::Result<EngineConfig> engine_config_from_platform(
     executing_pus.push_back(hybrid);
   }
 
+  int cpus = 0;
   for (const pdl::ProcessingUnit* pu : executing_pus) {
+    PlatformDevice device;
+    device.pu = pu;
+    DeviceSpec& spec = device.spec;
     const std::string arch = pdl::resolved_value(*pu, pdl::props::kArchitecture);
     if (pdl::util::iequals(arch, "x86_core") || pdl::util::iequals(arch, "x86") ||
         pdl::util::iequals(arch, "cpu_core") || pdl::util::iequals(arch, "ppe") ||
         pdl::util::iequals(arch, "riscv") ||
         pdl::util::iequals(arch, "riscv_core") || arch.empty()) {
-      DeviceSpec spec;
-      spec.kind = DeviceKind::kCpu;
-      spec.sustained_gflops = pdl::props::sustained_gflops(*pu, 0.9, options.default_cpu_gflops);
-      apply_reliability(*pu, spec);
-      // Same naming rule as accelerators below: `id` when the PU stands
-      // for one device, `id#i` only for real quantity expansions (a
-      // quantity="1" CPU used to be named `id#0`, which broke name parity
-      // with accelerators and split profile instance pooling).
-      for (int i = 0; i < pu->quantity(); ++i) {
-        spec.name = pu->quantity() == 1 ? pu->id()
-                                        : pu->id() + "#" + std::to_string(i);
-        cpus.push_back(spec);
-      }
+      spec.sustained_gflops = pdl::props::sustained_gflops(*pu, 0.9, kDefaultCpuGflops);
+      cpus += pu->quantity();
     } else {
       // Everything non-CPU is a simulated accelerator (gpu, spe, ...).
-      DeviceSpec spec;
       spec.kind = DeviceKind::kAccelerator;
-      spec.sustained_gflops = pdl::props::sustained_gflops(*pu, 0.65, options.default_accel_gflops);
-      apply_reliability(*pu, spec);
-
-      // Device memory capacity from the worker's MemoryRegion (SIZE).
-      if (auto bytes = pdl::props::memory_capacity_bytes(*pu)) {
-        spec.memory_bytes = static_cast<std::size_t>(*bytes);
+      spec.sustained_gflops =
+          pdl::props::sustained_gflops(*pu, 0.65, kDefaultAccelGflops);
+      if ((device.memory = pdl::props::sized_memory_region(*pu)) != nullptr) {
+        spec.memory_bytes = *pdl::props::memory_capacity_bytes(*device.memory);
       }
-
-      // Link parameters from the Interconnect reaching this worker.
-      if (const pdl::ProcessingUnit* controller = pu->parent()) {
-        if (const pdl::Interconnect* ic =
-                pdl::find_interconnect(platform, controller->id(), pu->id())) {
-          if (auto bw = pdl::props::link_bandwidth_gbs(*ic)) {
-            spec.link_bandwidth_gbs = *bw;
-          }
-          if (auto lat = pdl::props::link_latency_us(*ic)) {
-            spec.link_latency_us = *lat;
-          }
-        }
+      if (pu->parent() != nullptr) {
+        device.link = pdl::find_interconnect(platform, pu->parent()->id(), pu->id());
       }
-      for (int i = 0; i < pu->quantity(); ++i) {
-        spec.name = pu->quantity() == 1 ? pu->id()
-                                        : pu->id() + "#" + std::to_string(i);
-        accelerators.push_back(spec);
+      spec.link_bandwidth_gbs = pdl::kControlLinkBandwidthGbs;
+      spec.link_latency_us = pdl::kControlLinkLatencyUs;
+      if (device.link != nullptr) {
+        spec.link_bandwidth_gbs = pdl::props::link_bandwidth_gbs(*device.link)
+                                      .value_or(spec.link_bandwidth_gbs);
+        spec.link_latency_us = pdl::props::link_latency_us(*device.link)
+                                   .value_or(spec.link_latency_us);
       }
+    }
+    apply_reliability(*pu, spec);
+    for (int i = 0; i < pu->quantity(); ++i) {
+      spec.name = pu->quantity() == 1 ? pu->id() : pu->id() + "#" + std::to_string(i);
+      out.devices.push_back(device);
     }
   }
 
-  if (cpus.empty() && accelerators.empty()) {
+  if (out.devices.empty()) {
     // The "single" configuration: the Master executes the fall-back variant.
     const pdl::ProcessingUnit& master = *platform.masters().front();
-    DeviceSpec spec;
-    spec.kind = DeviceKind::kCpu;
-    spec.name = "master:" + master.id();
-    spec.sustained_gflops = pdl::props::sustained_gflops(master, 0.9, options.default_cpu_gflops);
-    apply_reliability(master, spec);
-    config.devices.push_back(std::move(spec));
-    return config;
+    PlatformDevice& device = out.devices.emplace_back();
+    device.pu = &master;
+    device.spec.name = "master:" + master.id();
+    device.spec.sustained_gflops =
+        pdl::props::sustained_gflops(master, 0.9, kDefaultCpuGflops);
+    apply_reliability(master, device.spec);
+    device.store_id = 0;
+    return out;
   }
 
-  // StarPU-style driver cores: each accelerator consumes one CPU worker.
-  std::size_t cpu_count = cpus.size();
-  if (options.dedicate_driver_cores) {
-    cpu_count -= std::min(cpu_count, accelerators.size());
+  // StarPU-style driver cores: each accelerator consumes one CPU worker,
+  // the last ones in declaration order. The dedicated list is the kept
+  // CPUs followed by the accelerators.
+  const int accelerators = static_cast<int>(out.devices.size()) - cpus;
+  const int kept_cpus = cpus - std::min(cpus, accelerators);
+  int next_cpu = 0;
+  int next_accelerator = kept_cpus;
+  for (PlatformDevice& device : out.devices) {
+    if (device.spec.kind == DeviceKind::kAccelerator) {
+      device.store_id = next_accelerator++;
+    } else if (next_cpu < kept_cpus) {
+      device.store_id = next_cpu++;
+    }
   }
-  config.devices.assign(cpus.begin(),
-                        cpus.begin() + static_cast<std::ptrdiff_t>(cpu_count));
-  config.devices.insert(config.devices.end(), accelerators.begin(),
-                        accelerators.end());
+  return out;
+}
+
+pdl::util::Result<EngineConfig> engine_config_from_platform(
+    const pdl::Platform& platform, const BridgeOptions& options) {
+  auto table = platform_devices(platform);
+  if (!table.ok()) return table.error();
+
+  EngineConfig config;
+  config.scheduler = options.scheduler;
+  config.mode = options.mode;
+  config.record_decisions = options.record_decisions;
+  for (const DeviceKind kind : {DeviceKind::kCpu, DeviceKind::kAccelerator}) {
+    for (const PlatformDevice& device : table.value().devices) {
+      if (device.spec.kind == kind &&
+          (device.store_id >= 0 || !options.dedicate_driver_cores)) {
+        config.devices.push_back(device.spec);
+      }
+    }
+  }
   return config;
 }
 

@@ -95,7 +95,8 @@ struct EngineConfig {
   /// a mismatched, corrupt, or wrong-version store is rejected (counted in
   /// EngineStats::perf_store_rejected) and the run proceeds from declared
   /// rates. Empty = consult the PDL_PERF_STORE environment variable at
-  /// engine construction ("0" or unset disables persistence).
+  /// engine construction; "0" here or there (or unset) disables
+  /// persistence (perf_store::resolve_path).
   std::string perf_store_path;
 
   /// Retry/backoff/blacklist/watchdog policy (docs/RUNTIME.md).

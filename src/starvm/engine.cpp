@@ -258,19 +258,14 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   // cold start; a wrong-version, corrupt or descriptor-mismatched store is
   // rejected (counted in perf_store_rejected) and the run proceeds from
   // declared rates. Done before the workers spawn: preload races nothing.
-  perf_store_path_ = config_.perf_store_path.empty()
-                         ? perf_store::env_store_path()
-                         : config_.perf_store_path;
+  perf_store_path_ = perf_store::resolve_path(config_.perf_store_path);
   descriptor_hash_ = perf_store::descriptor_hash(config_.devices);
   if (!perf_store_path_.empty()) {
-    perf_store::LoadResult loaded = perf_store::load(perf_store_path_);
+    perf_store::LoadResult loaded =
+        perf_store::load_for(perf_store_path_, config_.devices);
     if (loaded.status == perf_store::LoadStatus::kLoaded) {
-      if (loaded.store.descriptor_hash == descriptor_hash_) {
-        perf_store::preload(loaded.store, perf_model_);
-        perf_store_entries_ = loaded.store.entries.size();
-      } else {
-        ++perf_store_rejected_;  // stale store from a different platform
-      }
+      perf_store::preload(loaded.store, perf_model_);
+      perf_store_entries_ = loaded.store.entries.size();
     } else if (loaded.status != perf_store::LoadStatus::kMissing) {
       ++perf_store_rejected_;
     }

@@ -1,6 +1,9 @@
 #include "starvm/perf_store.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -126,6 +129,28 @@ LoadResult load(const std::string& path) {
   return result;
 }
 
+LoadResult load_for(const std::string& path,
+                    const std::vector<DeviceSpec>& devices) {
+  LoadResult result = load(path);
+  if (result.status != LoadStatus::kLoaded) return result;
+  if (result.store.descriptor_hash != descriptor_hash(devices)) {
+    result.status = LoadStatus::kMismatch;
+    result.detail = "descriptor hash mismatch";
+    return result;
+  }
+  for (const Entry& entry : result.store.entries) {
+    if (static_cast<std::size_t>(entry.device) >= devices.size()) {
+      result.status = LoadStatus::kMismatch;
+      result.detail = "rate row '" + entry.codelet + "' names device " +
+                      std::to_string(entry.device) +
+                      ", but the hashed device list has only " +
+                      std::to_string(devices.size());
+      return result;
+    }
+  }
+  return result;
+}
+
 std::string render_text(const Store& store) {
   std::string text = std::string(kHeaderPrefix) +
                      std::to_string(kFormatVersion) + "\n";
@@ -160,15 +185,16 @@ std::string render_text(const Store& store) {
 }
 
 bool save(const Store& store, const std::string& path) {
-  // tmp + rename: a concurrent load() must never see a torn store.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << render_text(store);
-    if (!out) return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  // tmp + rename: a concurrent load() must never see a torn store. The tmp
+  // name is unique per process and call, so concurrent savers never write
+  // into one file; the last rename wins with a whole store.
+  static std::atomic<unsigned> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out << render_text(store);
+  out.close();
+  if (out.fail() || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }
@@ -193,13 +219,13 @@ void preload(const Store& store, PerfModel& model) {
   }
 }
 
-std::string env_store_path() {
-  const char* env = std::getenv("PDL_PERF_STORE");
-  if (env == nullptr || env[0] == '\0' ||
-      (env[0] == '0' && env[1] == '\0')) {
-    return "";
+std::string resolve_path(const std::string& configured) {
+  std::string path = configured;
+  if (path.empty()) {
+    const char* env = std::getenv("PDL_PERF_STORE");
+    if (env != nullptr) path = env;
   }
-  return env;
+  return path == "0" ? "" : path;
 }
 
 }  // namespace starvm::perf_store

@@ -8,6 +8,8 @@
 // of the PDL-derived device descriptors so a store learned on one platform
 // is never applied to another, written atomically (tmp + rename, like the
 // Prometheus sink) on engine shutdown and preloaded at engine start.
+// A store's device ids index the engine's device list, which for a PDL
+// platform is the bridge's driver-core-dedicated list.
 //
 // The store changes *estimates*, never ordering invariants: deterministic
 // replay and starmc exploration stay byte-stable for a fixed store, and a
@@ -51,10 +53,11 @@ struct Store {
 std::uint64_t descriptor_hash(const std::vector<DeviceSpec>& devices);
 
 enum class LoadStatus {
-  kLoaded,      ///< parsed cleanly (hash matching is the caller's decision)
+  kLoaded,      ///< parsed cleanly (and, for load_for, bound)
   kMissing,     ///< no file — a clean cold start, not a rejection
   kBadVersion,  ///< recognizably a perf store, but a different format version
   kCorrupt,     ///< truncated / malformed / not a perf store at all
+  kMismatch,    ///< load_for only: learned on a different device list
 };
 
 struct LoadResult {
@@ -66,11 +69,18 @@ struct LoadResult {
 /// Parse a store file. Never throws; every failure mode is a status.
 LoadResult load(const std::string& path);
 
+/// Parse a store file and bind it to `devices`, the list its ids index:
+/// kMismatch when the descriptor hash differs ("descriptor hash mismatch")
+/// or a rate row names a device outside the list.
+LoadResult load_for(const std::string& path,
+                    const std::vector<DeviceSpec>& devices);
+
 /// Render the on-disk text form (also what save() writes).
 std::string render_text(const Store& store);
 
-/// Atomically write the store: render to `path + ".tmp"`, then rename, so
-/// a reader never sees a torn file. False on I/O failure (tmp removed).
+/// Atomically write the store: render to a temp file unique to this call,
+/// then rename, so a reader never sees a torn file, even with concurrent
+/// savers. False on I/O failure (temp file removed).
 bool save(const Store& store, const std::string& path);
 
 /// Snapshot a model's calibrated cells into a store stamped with `hash`.
@@ -79,8 +89,10 @@ Store from_model(const PerfModel& model, std::uint64_t hash);
 /// Install every entry into the model (overwrites matching cells).
 void preload(const Store& store, PerfModel& model);
 
-/// The PDL_PERF_STORE environment variable, or "" when unset / "0"
-/// (disabled). EngineConfig::perf_store_path, when set, wins over this.
-std::string env_store_path();
+/// The store path persistence uses: `configured` (EngineConfig or
+/// rt::Options perf_store_path, a tool's --perf-store) when set, else the
+/// PDL_PERF_STORE environment variable. "" when persistence is off: the
+/// chosen value is unset, empty or "0".
+std::string resolve_path(const std::string& configured);
 
 }  // namespace starvm::perf_store

@@ -227,43 +227,32 @@ int main(int argc, char** argv) {
   // hash differs fall back to declared rates (with a warning) rather than
   // simulating with another machine's measurements.
   std::vector<std::unique_ptr<starvm::PerfModel>> platform_models(platforms.size());
-  if (!perf_store_path.empty()) {
+  for (std::size_t p = 0; p < platforms.size() && !perf_store_path.empty(); ++p) {
+    auto config = starvm::engine_config_from_platform(platforms[p]);
+    if (!config.ok()) continue;
     const starvm::perf_store::LoadResult loaded =
-        starvm::perf_store::load(perf_store_path);
-    switch (loaded.status) {
-      case starvm::perf_store::LoadStatus::kLoaded:
-        for (std::size_t p = 0; p < platforms.size(); ++p) {
-          auto config = starvm::engine_config_from_platform(platforms[p]);
-          if (!config.ok()) continue;
-          const std::uint64_t hash =
-              starvm::perf_store::descriptor_hash(config.value().devices);
-          if (hash != loaded.store.descriptor_hash) {
-            pdl::add_finding(diags, pdl::Severity::kWarning, {},
-                             "perf store '" + perf_store_path +
-                                 "' was learned on a different platform than '" +
-                                 parsed_paths[p] +
-                                 "' (descriptor hash mismatch); using declared "
-                                 "rates",
-                             pdl::SourceLoc{perf_store_path, 1, 1});
-            continue;
-          }
-          platform_models[p] = std::make_unique<starvm::PerfModel>();
-          starvm::perf_store::preload(loaded.store, *platform_models[p]);
-        }
-        break;
-      case starvm::perf_store::LoadStatus::kMissing:
-        pdl::add_finding(diags, pdl::Severity::kWarning, {},
-                         "perf store '" + perf_store_path + "' not found",
-                         pdl::SourceLoc{perf_store_path, 1, 1});
-        break;
-      case starvm::perf_store::LoadStatus::kBadVersion:
-      case starvm::perf_store::LoadStatus::kCorrupt:
-        pdl::add_finding(diags, pdl::Severity::kWarning, {},
-                         "perf store '" + perf_store_path +
-                             "' rejected (unsupported version or corrupt); "
-                             "using declared rates",
-                         pdl::SourceLoc{perf_store_path, 1, 1});
-        break;
+        starvm::perf_store::load_for(perf_store_path, config.value().devices);
+    if (loaded.status == starvm::perf_store::LoadStatus::kLoaded) {
+      platform_models[p] = std::make_unique<starvm::PerfModel>();
+      starvm::perf_store::preload(loaded.store, *platform_models[p]);
+    } else if (loaded.status == starvm::perf_store::LoadStatus::kMismatch) {
+      pdl::add_finding(diags, pdl::Severity::kWarning, {},
+                       "perf store '" + perf_store_path +
+                           "' was learned on a different platform than '" +
+                           parsed_paths[p] + "' (" + loaded.detail +
+                           "); using declared rates",
+                       pdl::SourceLoc{perf_store_path, 1, 1});
+    } else {
+      // A problem with the file itself: the same for every platform.
+      pdl::add_finding(
+          diags, pdl::Severity::kWarning, {},
+          loaded.status == starvm::perf_store::LoadStatus::kMissing
+              ? "perf store '" + perf_store_path + "' not found"
+              : "perf store '" + perf_store_path +
+                    "' rejected (unsupported version or corrupt); using "
+                    "declared rates",
+          pdl::SourceLoc{perf_store_path, 1, 1});
+      break;
     }
   }
 

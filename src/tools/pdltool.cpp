@@ -127,30 +127,28 @@ bool load_store_for_platform(const std::string& store_path,
                              const pdl::Platform& platform,
                              starvm::perf_store::Store& store) {
   if (store_path.empty()) return false;
-  const starvm::perf_store::LoadResult loaded = starvm::perf_store::load(store_path);
+  auto config = starvm::engine_config_from_platform(platform);
+  if (!config.ok()) return false;
+  starvm::perf_store::LoadResult loaded =
+      starvm::perf_store::load_for(store_path, config.value().devices);
+  if (loaded.status == starvm::perf_store::LoadStatus::kLoaded) {
+    store = std::move(loaded.store);
+    return true;
+  }
   if (loaded.status == starvm::perf_store::LoadStatus::kMissing) {
     std::fprintf(stderr, "pdltool: perf store '%s' not found\n", store_path.c_str());
-    return false;
-  }
-  if (loaded.status != starvm::perf_store::LoadStatus::kLoaded) {
+  } else if (loaded.status == starvm::perf_store::LoadStatus::kMismatch) {
+    std::fprintf(stderr,
+                 "pdltool: perf store '%s' was learned on a different platform "
+                 "(%s); using declared rates\n",
+                 store_path.c_str(), loaded.detail.c_str());
+  } else {
     std::fprintf(stderr,
                  "pdltool: perf store '%s' rejected (unsupported version or "
                  "corrupt); using declared rates\n",
                  store_path.c_str());
-    return false;
   }
-  auto config = starvm::engine_config_from_platform(platform);
-  if (!config.ok()) return false;
-  if (starvm::perf_store::descriptor_hash(config.value().devices) !=
-      loaded.store.descriptor_hash) {
-    std::fprintf(stderr,
-                 "pdltool: perf store '%s' was learned on a different platform "
-                 "(descriptor hash mismatch); using declared rates\n",
-                 store_path.c_str());
-    return false;
-  }
-  store = loaded.store;
-  return true;
+  return false;
 }
 
 /// Schedule-aware analysis of a task-graph fixture against a platform:
@@ -209,7 +207,7 @@ int cmd_profile(const char* platform_path, const char* graph_path,
   if (load_store_for_platform(store_path, platform, store)) {
     // Third drift column: measured vs the store's learned rate, flagging
     // decayed entries.
-    analysis::apply_store_rates(profile, store);
+    analysis::apply_store_rates(profile, store, platform);
   }
   const analysis::SchedulePlan plan =
       analysis::simulate_schedule(graph.value(), platform);
@@ -251,6 +249,7 @@ int cmd_perf(const std::string& action, const char* store_path,
                    store_path);
       return 1;
     case starvm::perf_store::LoadStatus::kCorrupt:
+    case starvm::perf_store::LoadStatus::kMismatch:  // load() never binds
       std::fprintf(stderr, "pdltool: perf store '%s' is corrupt\n", store_path);
       return 1;
     case starvm::perf_store::LoadStatus::kLoaded:
@@ -286,16 +285,20 @@ int cmd_perf(const std::string& action, const char* store_path,
     }
     const std::uint64_t hash =
         starvm::perf_store::descriptor_hash(config.value().devices);
-    if (hash == loaded.store.descriptor_hash) {
+    const starvm::perf_store::LoadResult bound =
+        starvm::perf_store::load_for(store_path, config.value().devices);
+    if (bound.status == starvm::perf_store::LoadStatus::kLoaded) {
       std::printf("MATCH: store '%s' belongs to platform '%s' (%016llx)\n",
                   store_path, platform.name().c_str(),
                   static_cast<unsigned long long>(hash));
-      return 0;
+    } else if (hash != loaded.store.descriptor_hash) {
+      std::printf("MISMATCH: store hash %016llx, platform hash %016llx\n",
+                  static_cast<unsigned long long>(loaded.store.descriptor_hash),
+                  static_cast<unsigned long long>(hash));
+    } else {
+      std::printf("MISMATCH: %s\n", bound.detail.c_str());
     }
-    std::printf("MISMATCH: store hash %016llx, platform hash %016llx\n",
-                static_cast<unsigned long long>(loaded.store.descriptor_hash),
-                static_cast<unsigned long long>(hash));
-    return 1;
+    return bound.status == starvm::perf_store::LoadStatus::kLoaded ? 0 : 1;
   }
 
   std::fprintf(stderr, "pdltool: unknown perf action '%s' (dump|check|clear)\n",
@@ -386,7 +389,7 @@ int main(int raw_argc, char** raw_argv) {
   std::string metrics_path = obs::env_metrics_path();
   // PDL_PERF_STORE provides the default; --perf-store overrides it (used by
   // the plan and profile subcommands).
-  std::string perf_store_path = starvm::perf_store::env_store_path();
+  std::string perf_store_path;
   std::vector<char*> args;
   for (int i = 0; i < raw_argc; ++i) {
     std::string flag = raw_argv[i];
@@ -408,6 +411,7 @@ int main(int raw_argc, char** raw_argv) {
     }
     args.push_back(raw_argv[i]);
   }
+  perf_store_path = starvm::perf_store::resolve_path(perf_store_path);
   const int argc = static_cast<int>(args.size());
   char** argv = args.data();
   if (!metrics_path.empty()) obs::set_metrics_enabled(true);

@@ -238,6 +238,33 @@ TEST(ScheduleSim, DeterministicAcrossRuns) {
   EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
 }
 
+TEST(ScheduleSim, StoreRatesUseTheDedicatedDeviceIds) {
+  // A store learned by an engine on the testbed keeps gpu1 at id 6 (cores
+  // 6 and 7 drive the GPUs). A learned 10 s for gemm on gpu1 must steer
+  // the task away from the GPU the analytic model would pick.
+  auto platform = pdl::parse_platform_file(
+      std::string(PDL_SOURCE_DIR) + "/platforms/testbed-starpu-2gpu.pdl.xml");
+  ASSERT_TRUE(platform.ok()) << platform.error().str();
+  starvm::TaskGraph graph;
+  const int b = graph.add_buffer("b", 1024);
+  const int t = graph.add_task("gemm", {{b, starvm::Access::kReadWrite}});
+  graph.set_task_flops(t, 1e9);
+
+  const SchedulePlan analytic = simulate_schedule(graph, platform.value());
+  EXPECT_EQ(analytic.devices[static_cast<std::size_t>(
+                                 analytic.placements[0].device)].name,
+            "gpu1");
+
+  starvm::PerfModel model;
+  model.preload("gemm", 6, 10.0, 4, 0.1);
+  const SchedulePlan learned =
+      simulate_schedule(graph, platform.value(), &model);
+  EXPECT_NE(learned.devices[static_cast<std::size_t>(
+                                learned.placements[0].device)].name,
+            "gpu1");
+  EXPECT_NE(render_plan_text(learned, graph), render_plan_text(analytic, graph));
+}
+
 // --- A5xx rules ---------------------------------------------------------------
 
 TEST(AnalyzeSchedule, A501_FiresWhenWorkingSetExceedsCapacity) {

@@ -116,12 +116,19 @@ TEST(Profile, DriftAggregatesInstancesPerCodeletAndDevice) {
 
 TEST(Profile, StoreRatesAnnotateMatchingDriftRows) {
   RunProfile profile = profile_run(sample_stats());
+  // The sample's devices as a platform: acc1 dedicates the spare core, so
+  // the store's list is cpu0 (id 0), acc1 (id 1).
+  pdl::Platform platform("sample");
+  pdl::ProcessingUnit* m = platform.add_master("m");
+  m->add_child(pdl::PuKind::kWorker, "cpu0")->descriptor().add("ARCHITECTURE", "x86_core");
+  m->add_child(pdl::PuKind::kWorker, "acc1")->descriptor().add("ARCHITECTURE", "gpu");
+  m->add_child(pdl::PuKind::kWorker, "spare")->descriptor().add("ARCHITECTURE", "x86_core");
   starvm::perf_store::Store store;
   store.descriptor_hash = 1;
   // Matches the "gemm @ device 0" row only; "gemm @ device 1" and
   // "reduce" have no learned cell and must stay unannotated.
   store.entries = {{"gemm", 0, 1e-3, 6, 5.0}};
-  apply_store_rates(profile, store);
+  apply_store_rates(profile, store, platform);
 
   ASSERT_EQ(profile.drift.size(), 3u);
   EXPECT_NEAR(profile.drift[0].store_gflops, 5.0, 1e-12);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "discovery/presets.hpp"
+#include "pdl/query.hpp"
 #include "starvm/bridge.hpp"
 #include "starvm/engine.hpp"
 
@@ -145,12 +146,77 @@ TEST(Bridge, DefaultsApplyWithoutRateProperties) {
   pdl::ProcessingUnit* m = p.add_master("m");
   pdl::ProcessingUnit* w = m->add_child(pdl::PuKind::kWorker, "w");
   w->descriptor().add("ARCHITECTURE", "gpu");
-  BridgeOptions options;
-  options.default_accel_gflops = 77.0;
-  auto config = engine_config_from_platform(p, options);
+  auto config = engine_config_from_platform(p);
   ASSERT_TRUE(config.ok());
   ASSERT_EQ(config.value().devices.size(), 1u);
-  EXPECT_DOUBLE_EQ(config.value().devices[0].sustained_gflops, 77.0);
+  EXPECT_DOUBLE_EQ(config.value().devices[0].sustained_gflops,
+                   kDefaultAccelGflops);
+  // No Interconnect at all: both link parameters are pdl's control-link
+  // defaults.
+  EXPECT_DOUBLE_EQ(config.value().devices[0].link_bandwidth_gbs,
+                   pdl::kControlLinkBandwidthGbs);
+  EXPECT_DOUBLE_EQ(config.value().devices[0].link_latency_us,
+                   pdl::kControlLinkLatencyUs);
+}
+
+TEST(Bridge, CellSpeLinksMatchTheDataPathModel) {
+  // The EIB declares BANDWIDTH_GB_S but no LATENCY_US: every SPE gets
+  // 25.6 GB/s and the control-link 1 us, the same link `pdltool path`
+  // charges between ppe0 and spe.
+  const pdl::Platform cell = cell_be_platform();
+  auto config = engine_config_from_platform(cell);
+  ASSERT_TRUE(config.ok());
+  const std::size_t bytes = 1 << 20;
+  const auto path = pdl::data_path_seconds(cell, "ppe0", "spe", bytes);
+  ASSERT_TRUE(path.has_value());
+  int spes = 0;
+  for (const DeviceSpec& d : config.value().devices) {
+    if (d.kind != DeviceKind::kAccelerator) continue;
+    ++spes;
+    EXPECT_DOUBLE_EQ(d.link_bandwidth_gbs, 25.6) << d.name;
+    EXPECT_DOUBLE_EQ(d.link_latency_us, 1.0) << d.name;
+    EXPECT_NEAR(transfer_seconds(bytes, d.link_bandwidth_gbs, d.link_latency_us),
+                *path, 1e-12)
+        << d.name;
+  }
+  EXPECT_EQ(spes, 8);
+}
+
+TEST(Bridge, PlatformDevicesKeepDeclarationOrderAndStoreIds) {
+  // testbed-starpu-2gpu: 8 CPU cores, then gpu1 and gpu2. The two GPUs
+  // dedicate the last two cores as drivers, so the engine's list (which a
+  // perf store's hash binds) is cpu_cores#0..#5, gpu1, gpu2.
+  const pdl::Platform testbed = paper_platform_starpu_2gpu();
+  auto table = platform_devices(testbed);
+  ASSERT_TRUE(table.ok()) << table.error().str();
+  const auto& devices = table.value().devices;
+  ASSERT_EQ(devices.size(), 10u);
+  const std::vector<int> expected_ids = {0, 1, 2, 3, 4, 5, -1, -1, 6, 7};
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    EXPECT_EQ(devices[i].store_id, expected_ids[i]) << devices[i].spec.name;
+  }
+  EXPECT_EQ(devices[8].spec.name, "gpu1");
+  EXPECT_NE(devices[8].link, nullptr);
+  EXPECT_NE(devices[8].memory, nullptr);
+  EXPECT_EQ(devices[0].link, nullptr);
+  ASSERT_NE(table.value().host_memory, nullptr);
+  EXPECT_GT(table.value().host_memory_bytes, 0u);
+
+  auto config = engine_config_from_platform(testbed);
+  ASSERT_TRUE(config.ok());
+  for (const PlatformDevice& d : devices) {
+    if (d.store_id < 0) continue;
+    EXPECT_EQ(config.value().devices[static_cast<std::size_t>(d.store_id)].name,
+              d.spec.name);
+  }
+}
+
+TEST(Bridge, MasterFallbackHasStoreIdZero) {
+  auto table = platform_devices(paper_platform_single());
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table.value().devices.size(), 1u);
+  EXPECT_EQ(table.value().devices[0].store_id, 0);
+  EXPECT_EQ(table.value().devices[0].spec.name.rfind("master:", 0), 0u);
 }
 
 TEST(Bridge, ConfiguredEnginesActuallyRun) {

@@ -3,10 +3,15 @@
 // guarantee (a loaded store changes estimates, never ordering).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "starvm/engine.hpp"
@@ -19,6 +24,18 @@ namespace {
 
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + name;
+}
+
+/// Files save() left next to `path` under a temp name ("<name>.tmp...").
+int temp_files_beside(const std::string& path) {
+  const std::filesystem::path store(path);
+  const std::string prefix = store.filename().string() + ".tmp";
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(store.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -75,9 +92,7 @@ TEST(PerfStore, SaveLoadRoundTripIsByteStable) {
   EXPECT_EQ(loaded.store.entries[1].count, 7u);
   EXPECT_DOUBLE_EQ(loaded.store.entries[1].ema_gflops, 41.5);
 
-  // save() leaves no temp file behind.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
+  EXPECT_EQ(temp_files_beside(path), 0);
   std::remove(path.c_str());
 }
 
@@ -139,13 +154,94 @@ TEST(PerfStore, FromModelSnapshotAndPreloadAgree) {
 
 TEST(PerfStore, EnvVarDisabledForms) {
   ::setenv("PDL_PERF_STORE", "", 1);
-  EXPECT_EQ(perf_store::env_store_path(), "");
+  EXPECT_EQ(perf_store::resolve_path(""), "");
   ::setenv("PDL_PERF_STORE", "0", 1);
-  EXPECT_EQ(perf_store::env_store_path(), "");
+  EXPECT_EQ(perf_store::resolve_path(""), "");
   ::setenv("PDL_PERF_STORE", "/tmp/x.perfstore", 1);
-  EXPECT_EQ(perf_store::env_store_path(), "/tmp/x.perfstore");
+  EXPECT_EQ(perf_store::resolve_path(""), "/tmp/x.perfstore");
+  // A configured path wins over the environment, and "0" disables there
+  // too.
+  EXPECT_EQ(perf_store::resolve_path("mine.perfstore"), "mine.perfstore");
+  EXPECT_EQ(perf_store::resolve_path("0"), "");
   ::unsetenv("PDL_PERF_STORE");
-  EXPECT_EQ(perf_store::env_store_path(), "");
+  EXPECT_EQ(perf_store::resolve_path(""), "");
+}
+
+TEST(PerfStore, LoadForBindsHashAndDeviceIds) {
+  const std::vector<DeviceSpec> devices = EngineConfig::cpus(2).devices;
+  const std::string path = temp_path("bind.perfstore");
+  perf_store::Store store;
+  store.descriptor_hash = perf_store::descriptor_hash(devices);
+  store.entries = {{"k", 1, 1e-3, 2, 1.0}};
+  ASSERT_TRUE(perf_store::save(store, path));
+  EXPECT_EQ(perf_store::load_for(path, devices).status,
+            perf_store::LoadStatus::kLoaded);
+
+  store.entries.push_back({"k", 2, 1e-3, 2, 1.0});  // no device 2
+  ASSERT_TRUE(perf_store::save(store, path));
+  const perf_store::LoadResult out_of_range = perf_store::load_for(path, devices);
+  EXPECT_EQ(out_of_range.status, perf_store::LoadStatus::kMismatch);
+  EXPECT_NE(out_of_range.detail.find("names device 2"), std::string::npos);
+
+  store.descriptor_hash ^= 1;
+  ASSERT_TRUE(perf_store::save(store, path));
+  const perf_store::LoadResult stale = perf_store::load_for(path, devices);
+  EXPECT_EQ(stale.status, perf_store::LoadStatus::kMismatch);
+  EXPECT_EQ(stale.detail, "descriptor hash mismatch");
+  std::remove(path.c_str());
+}
+
+TEST(PerfStore, ConcurrentSavesNeverTearTheStore) {
+  // Two writers race to replace one store while a reader keeps loading
+  // it: every load must see one writer's whole store, never a torn or
+  // interleaved file.
+  const std::string path = temp_path("concurrent.perfstore");
+  std::remove(path.c_str());
+  perf_store::Store stores[2];
+  for (int w = 0; w < 2; ++w) {
+    stores[w].descriptor_hash = 100 + static_cast<std::uint64_t>(w);
+    for (int i = 0; i < 1000; ++i) {
+      stores[w].entries.push_back({"writer" + std::to_string(w) + "_codelet_" +
+                                       std::to_string(i),
+                                   i % 4, 1e-3 * (w + 1), 3, 1.5});
+    }
+  }
+  const std::string texts[2] = {perf_store::render_text(stores[0]),
+                                perf_store::render_text(stores[1])};
+  constexpr int kSaves = 400;
+  std::atomic<int> writers_done{0};
+  std::atomic<int> failed_saves{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kSaves; ++i) {
+        if (!perf_store::save(stores[w], path)) failed_saves.fetch_add(1);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  int loads = 0;
+  int bad_loads = 0;
+  while (writers_done.load() < 2 || loads == 0) {
+    const perf_store::LoadResult loaded = perf_store::load(path);
+    if (loaded.status == perf_store::LoadStatus::kMissing) continue;
+    ++loads;
+    if (loaded.status != perf_store::LoadStatus::kLoaded) {
+      ++bad_loads;
+      continue;
+    }
+    const std::string text = perf_store::render_text(loaded.store);
+    if (text != texts[0] && text != texts[1]) ++bad_loads;
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failed_saves.load(), 0);
+  EXPECT_EQ(bad_loads, 0) << "of " << loads << " loads";
+  const perf_store::LoadResult last = perf_store::load(path);
+  ASSERT_EQ(last.status, perf_store::LoadStatus::kLoaded);
+  const std::string text = perf_store::render_text(last.store);
+  EXPECT_TRUE(text == texts[0] || text == texts[1]);
+  EXPECT_EQ(temp_files_beside(path), 0);
+  std::remove(path.c_str());
 }
 
 // --- Engine wiring -----------------------------------------------------------
@@ -203,6 +299,31 @@ TEST(PerfStoreEngine, CorruptStoreIsRejectedAndCounted) {
   Engine engine(std::move(config));
   EXPECT_EQ(engine.stats().perf_store_rejected, 1u);
   std::remove(path.c_str());
+}
+
+TEST(PerfStoreEngine, ConfiguredZeroLeavesNoFileBehind) {
+  // "0" disables persistence in EngineConfig::perf_store_path just as it
+  // does in PDL_PERF_STORE: no store named "0" may appear in the working
+  // directory.
+  std::string dir = temp_path("perfstore_zero_XXXXXX");
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  char cwd[4096];
+  ASSERT_NE(::getcwd(cwd, sizeof cwd), nullptr);
+  ASSERT_EQ(::chdir(dir.c_str()), 0);
+  {
+    EngineConfig config = EngineConfig::cpus(1);
+    config.mode = ExecutionMode::kPureSim;
+    config.perf_store_path = "0";
+    Engine engine(std::move(config));
+    const Codelet c = flops_codelet("zero", 1e6);
+    engine.submit(TaskDesc{&c, {}});
+    EXPECT_TRUE(engine.wait_all().ok());
+  }
+  const bool leaked = std::ifstream(dir + "/0").good();
+  ASSERT_EQ(::chdir(cwd), 0);
+  EXPECT_FALSE(leaked);
+  std::remove((dir + "/0").c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(PerfStoreEngine, SavesCalibratedCellsOnShutdown) {
