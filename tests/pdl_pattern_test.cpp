@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "discovery/presets.hpp"
 #include "pdl/pattern.hpp"
 #include "pdl/query.hpp"
@@ -175,9 +177,14 @@ TEST(PatternMatch, SyntaxErrorsReportedThroughMatch) {
 
 // The paper's platform requirements as patterns against all presets.
 struct RequirementCase {
+  const char* name;
   const char* pattern;
   bool single, cpu, gpu, cell;
 };
+
+// Prints the case by name, so each test is named the same in every run
+// rather than by the bytes (and so the address) of its pattern pointer.
+void PrintTo(const RequirementCase& c, std::ostream* os) { *os << c.name; }
 
 class RequirementMatrixTest : public testing::TestWithParam<RequirementCase> {};
 
@@ -196,12 +203,14 @@ TEST_P(RequirementMatrixTest, MatchesExpectedPlatforms) {
 INSTANTIATE_TEST_SUITE_P(
     PaperPlatforms, RequirementMatrixTest,
     testing::Values(
-        RequirementCase{"M", true, true, true, true},
-        RequirementCase{"M(ARCHITECTURE=x86)", true, true, true, false},
-        RequirementCase{"M[W(ARCHITECTURE=x86_core)x8]", false, true, true, false},
-        RequirementCase{"M[W(ARCHITECTURE=gpu)]", false, false, true, false},
-        RequirementCase{"M[W(ARCHITECTURE=gpu)x2]", false, false, true, false},
-        RequirementCase{"M[W(ARCHITECTURE=spe)x8]", false, false, false, true}));
+        RequirementCase{"any_master", "M", true, true, true, true},
+        RequirementCase{"x86_master", "M(ARCHITECTURE=x86)", true, true, true, false},
+        RequirementCase{"x86_cores_x8", "M[W(ARCHITECTURE=x86_core)x8]", false, true,
+                        true, false},
+        RequirementCase{"gpu", "M[W(ARCHITECTURE=gpu)]", false, false, true, false},
+        RequirementCase{"gpus_x2", "M[W(ARCHITECTURE=gpu)x2]", false, false, true, false},
+        RequirementCase{"spes_x8", "M[W(ARCHITECTURE=spe)x8]", false, false, false,
+                        true}));
 
 }  // namespace
 }  // namespace pdl
