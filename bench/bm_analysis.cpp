@@ -1,13 +1,16 @@
-// Analyzer throughput: the A5xx schedule-aware capacity analysis must stay
-// cheap enough to run on every lint (CI runs it over all shipped platforms
-// and examples). This benchmark drives the full pipeline — HEFT schedule
-// simulation, capacity/contention rules, SARIF rendering — over the largest
-// shipped platform (the paper testbed with two GPUs, 10 devices) and a
-// synthetic 10k-task pipeline DAG, reporting tasks/second.
+// Analyzer throughput: the A4xx hazard pass and the A5xx schedule-aware
+// capacity analysis must stay cheap enough to run on every lint (CI runs
+// them over all shipped platforms and examples). This benchmark drives the
+// A4xx pair scan over its happens-before closure, and the full A5xx
+// pipeline — HEFT schedule simulation, capacity/contention rules, SARIF
+// rendering — over the largest shipped platform (the paper testbed with two
+// GPUs, 10 devices), both on a synthetic 10k-task pipeline DAG, reporting
+// tasks/second.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "analysis/analyzer.hpp"
 #include "analysis/capacity.hpp"
 #include "analysis/graph_io.hpp"
 #include "analysis/sarif.hpp"
@@ -59,6 +62,21 @@ starvm::TaskGraph synthetic_pipeline(int tasks, int width) {
   }
   return graph;
 }
+
+void BM_AnalyzeTaskGraph(benchmark::State& state) {
+  // A4xx in strict mode: edge inference, the happens-before closure and the
+  // scan over every unordered task pair.
+  const int tasks = static_cast<int>(state.range(0));
+  const starvm::TaskGraph graph = synthetic_pipeline(tasks, 16);
+  for (auto _ : state) {
+    pdl::Diagnostics diags;
+    analysis::analyze_task_graph(graph, {}, diags);
+    benchmark::DoNotOptimize(diags.size());
+  }
+  state.SetItemsProcessed(state.iterations() * tasks);
+}
+BENCHMARK(BM_AnalyzeTaskGraph)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimulateSchedule(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));

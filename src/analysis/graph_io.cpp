@@ -192,14 +192,15 @@ pdl::util::Result<starvm::TaskGraph> parse_graph_text(
           }
           deps.push_back(it->second);
         } else if (key == "flops") {
-          try {
-            flops = std::stod(value);
-          } catch (...) {
-            return at(filename, lineno, "bad flops '" + value + "'");
+          const auto parsed = pdl::util::parse_double(value);
+          if (!parsed) {
+            return at(filename, lineno,
+                      "bad flops '" + value + "' (want a finite value >= 0)");
           }
-          if (flops < 0.0) {
+          if (*parsed < 0.0) {
             return at(filename, lineno, "negative flops '" + value + "'");
           }
+          flops = *parsed;
         } else if (key == "model") {
           if (model.specified()) {
             return at(filename, lineno, "duplicate model for task '" + name + "'");

@@ -132,7 +132,7 @@ pdl::util::Result<Program> make_graph_program(const starvm::TaskGraph& graph,
   const auto& tasks = state->graph.tasks();
   state->n = tasks.size();
   state->conflict.assign(state->n * state->n, 0);
-  const auto reach = state->graph.reachability(state->graph.edges(true));
+  const auto reach = state->graph.reachability();
   for (std::size_t i = 0; i < state->n; ++i) {
     for (std::size_t j = 0; j < state->n; ++j) {
       if (i == j) continue;

@@ -551,6 +551,22 @@ TEST(GraphIo, RejectsMalformedInput) {
   EXPECT_EQ(bad.error().where, "f.graph:2");
 }
 
+TEST(GraphIo, RejectsLooseFlopsWithFileLine) {
+  // NaN or infinity would flow into every A5xx estimate; a trailing tail or
+  // a hex prefix is a typo, not a number.
+  for (const std::string bad : {"nan", "inf", "1e6abc", "0x10", "-1", ""}) {
+    const auto graph =
+        parse_graph_text("buffer b 1\ntask t read=b flops=" + bad + "\n", "f.graph");
+    ASSERT_FALSE(graph.ok()) << bad;
+    EXPECT_EQ(graph.error().where, "f.graph:2") << bad;
+    EXPECT_NE(graph.error().message.find("flops '" + bad + "'"), std::string::npos)
+        << graph.error().message;
+  }
+  const auto zero = parse_graph_text("task t flops=0\n");
+  ASSERT_TRUE(zero.ok()) << zero.error().str();
+  EXPECT_EQ(zero.value().tasks()[0].flops, 0.0);
+}
+
 TEST(GraphIo, RejectsWrappingExplicitBase) {
   const auto wrapped =
       parse_graph_text("buffer x 2 18446744073709551615\n");

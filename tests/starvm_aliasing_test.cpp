@@ -32,7 +32,7 @@ TEST(EngineAliasedHandles, StaticGraphFlagsOverlapTheEngineCannotSee) {
   // Per-handle inference produces no edge — the tasks are unordered even
   // under the engine's sequential-consistency model...
   EXPECT_TRUE(g.edges().empty());
-  EXPECT_FALSE(g.reachability(g.edges()).ordered(w1, w2));
+  EXPECT_FALSE(g.reachability().ordered(w1, w2));
   // ...yet their byte ranges overlap: exactly the A403 finding.
   EXPECT_TRUE(g.ranges_overlap(h1, h2));
   EXPECT_FALSE(g.same_lineage(h1, h2));
