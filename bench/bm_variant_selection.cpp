@@ -88,8 +88,8 @@ BENCHMARK(BM_PatternMatchOnly);
 // the naive O(n^3) kernel. A warm store carrying trustworthy measurements
 // flips the choice to the fallback variant wrapping the register-tiled
 // kernel. The warm/cold gap is the end-to-end win of persisting the model
-// (docs/RUNTIME.md "Persisted performance models"); CI gates it via
-// BENCH_pr9_autotune.json.
+// (docs/RUNTIME.md "Persisted performance models"); CI gates it through
+// bench/gates.json.
 
 constexpr std::size_t kAutotuneN = 192;
 

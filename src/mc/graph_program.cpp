@@ -21,7 +21,7 @@ struct GraphProgramState {
   GraphProgramOptions options;
   std::shared_ptr<const starvm::FaultPlan> plan;
 
-  /// One double arena backing every root buffer at its declared base
+  /// One double arena backing every buffer at its declared base
   /// offset; aliased registrations therefore share bytes, exactly as the
   /// recorded program's allocations did.
   std::vector<double> storage;
@@ -111,20 +111,23 @@ pdl::util::Result<Program> make_graph_program(const starvm::TaskGraph& graph,
         std::move(parsed).value());
   }
 
-  // Storage: one arena covering the furthest declared byte; root buffers
-  // map to element spans at their base offsets (8-byte elements).
+  // Storage: one arena covering the furthest declared byte; every buffer
+  // (root or partition() block) maps to the element span at its base
+  // offset (8-byte elements). A buffer under one element is registered as
+  // one element, so the arena also covers that element for an empty block
+  // at the arena's end.
   const auto& buffers = state->graph.buffers();
-  std::uint64_t extent = 0;
-  for (const starvm::GraphBuffer& b : buffers) {
-    if (b.parent >= 0) continue;
-    extent = std::max(extent, b.base + b.bytes);
-  }
-  state->storage.assign(static_cast<std::size_t>((extent + 7) / 8), 0.0);
+  std::size_t elements = 0;
   state->spans.reserve(buffers.size());
   for (const starvm::GraphBuffer& b : buffers) {
-    state->spans.emplace_back(static_cast<std::size_t>(b.base / 8),
-                              static_cast<std::size_t>(b.bytes / 8));
+    const auto offset = static_cast<std::size_t>(b.base / 8);
+    const auto count = static_cast<std::size_t>(b.bytes / 8);
+    state->spans.emplace_back(offset, count);
+    elements = std::max({elements,
+                         static_cast<std::size_t>((b.base + b.bytes + 7) / 8),
+                         offset + std::max<std::size_t>(count, 1)});
   }
+  state->storage.assign(elements, 0.0);
 
   // Conflict matrix: tasks conflict when the graph already orders them or
   // when they touch overlapping bytes with at least one write. Reads over
@@ -184,7 +187,6 @@ pdl::util::Result<Program> make_graph_program(const starvm::TaskGraph& graph,
     const auto& bufs = state->graph.buffers();
     std::vector<starvm::DataHandle*> handles(bufs.size(), nullptr);
     for (std::size_t b = 0; b < bufs.size(); ++b) {
-      if (bufs[b].parent >= 0) continue;  // blocks come from partition()
       auto [offset, count] = state->spans[b];
       handles[b] = engine.register_vector(state->storage.data() + offset,
                                           std::max<std::size_t>(count, 1),

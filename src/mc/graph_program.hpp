@@ -1,8 +1,9 @@
 // Turn a recorded TaskGraph (graph_io fixture text or a programmatically
 // built graph) into a model-checkable mc::Program.
 //
-// The generated program owns real storage for every root buffer — honoring
-// declared base addresses, so aliased registrations share bytes — and runs
+// The generated program owns real storage for every buffer, partition()
+// blocks included — honoring declared base addresses, so aliased
+// registrations and blocks share bytes with what they overlap — and runs
 // a deterministic integer-valued mixing kernel per task: reads are summed,
 // writes accumulate a value derived from the task and its inputs. All
 // arithmetic stays exact in doubles (integers well below 2^53), so the

@@ -38,7 +38,6 @@
 // normalized, deterministic report.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -135,6 +134,19 @@ bool apply_rule_option(const std::string& spec, analysis::AnalysisOptions& optio
   return true;
 }
 
+/// "--explore-budget" value: a positive integer, nothing else.
+bool parse_budget(const std::string& text, std::size_t* out) {
+  const auto value = pdl::util::parse_int(text);
+  if (!value || *value < 1) {
+    std::fprintf(stderr,
+                 "pdlcheck: --explore-budget takes a positive integer, got '%s'\n",
+                 text.c_str());
+    return false;
+  }
+  *out = static_cast<std::size_t>(*value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -166,10 +178,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--explore") {
       explore = true;
     } else if (arg == "--explore-budget" && i + 1 < argc) {
-      explore_budget = static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!parse_budget(argv[++i], &explore_budget)) return 2;
     } else if (arg.rfind("--explore-budget=", 0) == 0) {
-      explore_budget = static_cast<std::size_t>(
-          std::atoll(arg.substr(std::strlen("--explore-budget=")).c_str()));
+      if (!parse_budget(arg.substr(std::strlen("--explore-budget=")),
+                        &explore_budget)) {
+        return 2;
+      }
     } else if (arg == "--graph" && i + 1 < argc) {
       graph_path = argv[++i];
     } else if (arg.rfind("--graph=", 0) == 0) {
@@ -311,7 +325,12 @@ int main(int argc, char** argv) {
         mc::Options explore_options;
         explore_options.max_runs = explore_budget;
         mc::Explorer explorer(std::move(program).value(), explore_options);
-        mc::report_findings(explorer.explore(), label, options, diags);
+        const mc::Result result = explorer.explore();
+        if (result.truncated) {
+          std::fprintf(stderr, "pdlcheck: %s: %zu engine runs (budget truncated)\n",
+                       label.c_str(), result.runs);
+        }
+        mc::report_findings(result, label, options, diags);
       }
     }
     if (!plan) continue;

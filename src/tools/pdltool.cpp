@@ -23,8 +23,10 @@
 //
 // The "namespace for reference to architectural properties" usage scenario
 // of paper §II, as a tool.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,7 @@
 #include "pdl/query.hpp"
 #include "pdl/serializer.hpp"
 #include "pdl/validate.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
@@ -446,11 +449,17 @@ int main(int raw_argc, char** raw_argv) {
   }
   if (cmd == "presets") return cmd_presets();
   if (cmd == "path" && (argc == 5 || argc == 6)) {
+    const auto parsed =
+        argc == 6 ? pdl::util::parse_int(argv[5]) : std::optional<std::int64_t>(1 << 20);
+    if (!parsed || *parsed < 0) {
+      std::fprintf(stderr,
+                   "pdltool: path: bytes takes a non-negative integer, got '%s'\n",
+                   argv[5]);
+      return 2;
+    }
+    const auto bytes = static_cast<std::size_t>(*parsed);
     pdl::Platform platform;
     if (load(argv[2], platform) != 0) return 1;
-    const std::size_t bytes =
-        argc == 6 ? static_cast<std::size_t>(std::strtoull(argv[5], nullptr, 10))
-                  : 1 << 20;
     const auto path = pdl::data_path(platform, argv[3], argv[4]);
     if (path.empty()) {
       std::printf("no path from '%s' to '%s'\n", argv[3], argv[4]);

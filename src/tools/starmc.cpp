@@ -23,10 +23,12 @@
 //                       (flight recorder)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/load error.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "mc/graph_program.hpp"
 #include "mc/report.hpp"
 #include "obs/env.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
@@ -58,6 +61,18 @@ bool parse_on_off(const std::string& value, bool* out) {
     return true;
   }
   return false;
+}
+
+/// A count flag's value: a positive integer up to `max`, nothing else.
+std::optional<std::int64_t> parse_count(const char* flag, const char* text,
+                                        std::int64_t max = INT64_MAX) {
+  const auto value = pdl::util::parse_int(text);
+  if (!value || *value < 1 || *value > max) {
+    std::fprintf(stderr, "starmc: %s takes a positive integer, got '%s'\n",
+                 flag, text);
+    return std::nullopt;
+  }
+  return value;
 }
 
 void print_summary(const char* tag, const mc::Result& result) {
@@ -99,7 +114,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--devices") {
       const char* v = value("--devices");
       if (v == nullptr) return 2;
-      program_options.devices = std::atoi(v);
+      const auto n = parse_count("--devices", v, INT_MAX);
+      if (!n) return 2;
+      program_options.devices = static_cast<int>(*n);
     } else if (arg == "--scheduler") {
       const char* v = value("--scheduler");
       if (v == nullptr) return 2;
@@ -123,11 +140,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-depth") {
       const char* v = value("--max-depth");
       if (v == nullptr) return 2;
-      options.max_depth = static_cast<std::size_t>(std::atoll(v));
+      const auto n = parse_count("--max-depth", v);
+      if (!n) return 2;
+      options.max_depth = static_cast<std::size_t>(*n);
     } else if (arg == "--budget") {
       const char* v = value("--budget");
       if (v == nullptr) return 2;
-      options.max_runs = static_cast<std::size_t>(std::atoll(v));
+      const auto n = parse_count("--budget", v);
+      if (!n) return 2;
+      options.max_runs = static_cast<std::size_t>(*n);
     } else if (arg.rfind("--dpor=", 0) == 0) {
       if (!parse_on_off(arg.substr(std::strlen("--dpor=")), &options.dpor)) {
         std::fprintf(stderr, "starmc: --dpor takes on|off\n");
@@ -156,7 +177,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (graph_path.empty() || program_options.devices < 1) {
+  if (graph_path.empty()) {
     usage(argv[0]);
     return 2;
   }

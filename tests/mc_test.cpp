@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +106,28 @@ TEST(McExplorer, AliasedWawBothOrdersProduceIdenticalBytes) {
   EXPECT_FALSE(result.truncated);
   EXPECT_GT(result.terminals, 1u);
   EXPECT_TRUE(result.findings.empty()) << findings_str(result);
+}
+
+TEST(McExplorer, PartitionedBlocksExploreClean) {
+  // One writer on the first and one on the last partition() block. Each
+  // block is registered over its own span of the arena; the (8 bytes, 9
+  // blocks) split ends in an empty block at the arena's end.
+  for (const auto& [bytes, nblocks] : {std::pair{64, 2}, std::pair{8, 9}}) {
+    starvm::TaskGraph graph;
+    const std::vector<int> blocks =
+        graph.partition(graph.add_buffer("A", bytes), nblocks);
+    graph.add_task("w_first", {{blocks.front(), starvm::Access::kWrite}});
+    graph.add_task("w_last", {{blocks.back(), starvm::Access::kWrite}});
+    mc::GraphProgramOptions options;
+    options.devices = 2;
+    auto program = mc::make_graph_program(graph, options);
+    ASSERT_TRUE(program.ok());
+    Explorer explorer(std::move(program).value(), Options{});
+    const Result result = explorer.explore();
+    EXPECT_FALSE(result.truncated) << bytes << " bytes / " << nblocks;
+    EXPECT_GT(result.terminals, 0u) << bytes << " bytes / " << nblocks;
+    EXPECT_TRUE(result.findings.empty()) << findings_str(result);
+  }
 }
 
 // --- DPOR reduction regression ----------------------------------------------

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "json_checker.hpp"
 #include "util/string_util.hpp"
@@ -16,6 +17,7 @@ namespace {
 const std::string kCascabelc = std::string(PDL_BINARY_DIR) + "/src/tools/cascabelc";
 const std::string kPdltool = std::string(PDL_BINARY_DIR) + "/src/tools/pdltool";
 const std::string kPdlcheck = std::string(PDL_BINARY_DIR) + "/src/tools/pdlcheck";
+const std::string kStarmc = std::string(PDL_BINARY_DIR) + "/src/tools/starmc";
 
 std::string temp_path(const std::string& name) {
   // PID-qualified: ctest runs each test in its own process, often in
@@ -574,6 +576,46 @@ TEST_F(ToolsTest, PdlcheckRejectsUnknownFlagsAndMissingFiles) {
   EXPECT_EQ(run(kPdlcheck.c_str(), &output), 2);
   EXPECT_EQ(run(kPdlcheck + " --nonsense " + pdl_path_, &output), 2);
   EXPECT_EQ(run(kPdlcheck + " /does/not/exist.xml", &output), 1);
+}
+
+TEST(ToolsCountFlags, RejectNonNumbersNegativesAndZero) {
+  // Exit 2 naming the flag; pdltool path checks its byte count before it
+  // loads the platform.
+  const std::string graph =
+      " --graph " + std::string(PDL_SOURCE_DIR) + "/tests/fixtures/diamond.graph";
+  const std::string explore = kPdlcheck + " --explore" + graph;
+  const std::pair<std::string, std::string> cases[] = {
+      {explore + " --explore-budget abc", "--explore-budget"},
+      {explore + " --explore-budget -1", "--explore-budget"},
+      {explore + " --explore-budget 0", "--explore-budget"},
+      {explore + " --explore-budget=5x", "--explore-budget"},
+      {kStarmc + graph + " --budget abc", "--budget"},
+      {kStarmc + graph + " --budget -1", "--budget"},
+      {kStarmc + graph + " --budget 0", "--budget"},
+      {kStarmc + graph + " --max-depth 0", "--max-depth"},
+      {kStarmc + graph + " --max-depth '8 deep'", "--max-depth"},
+      {kStarmc + graph + " --devices 0", "--devices"},
+      {kStarmc + graph + " --devices two", "--devices"},
+      {kPdltool + " path p.pdl.xml 0 gpu1 abc", "bytes"},
+      {kPdltool + " path p.pdl.xml 0 gpu1 -5", "bytes"},
+      {kPdltool + " path p.pdl.xml 0 gpu1 12x", "bytes"},
+  };
+  for (const auto& [command, flag] : cases) {
+    std::string output;
+    EXPECT_EQ(run(command, &output), 2) << command << "\n" << output;
+    EXPECT_NE(output.find(flag), std::string::npos) << command << "\n" << output;
+  }
+}
+
+TEST(ToolsExplore, PdlcheckReportsBudgetTruncation) {
+  const std::string explore = kPdlcheck + " --explore --graph " + PDL_SOURCE_DIR +
+                              "/tests/fixtures/diamond.graph";
+  std::string output;
+  EXPECT_EQ(run(explore + " --explore-budget 1", &output), 0) << output;
+  EXPECT_NE(output.find("diamond.graph: "), std::string::npos) << output;
+  EXPECT_NE(output.find(" engine runs (budget truncated)"), std::string::npos) << output;
+  EXPECT_EQ(run(explore, &output), 0) << output;
+  EXPECT_EQ(output.find("budget truncated"), std::string::npos) << output;
 }
 
 TEST_F(ToolsTest, CascabelcFailsCleanlyOnBadInputs) {
