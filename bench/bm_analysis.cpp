@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/capacity.hpp"
@@ -32,7 +33,11 @@ pdl::Platform testbed_platform() {
 /// A synthetic pipeline DAG shaped like real workloads: `width` parallel
 /// chains over per-chain 1 MB buffers, re-converging every `width` tasks
 /// through a shared reduction buffer (so transfers, residency invalidation
-/// and the contention sweep all stay exercised).
+/// and the contention sweep all stay exercised). The reduction buffer is
+/// also partitioned into `width` blocks, as BLOCK-distributed executes and
+/// the tiled solvers partition theirs, and half-way between two
+/// reductions one task reads a block, so the parent/block overlap path is
+/// exercised too.
 starvm::TaskGraph synthetic_pipeline(int tasks, int width) {
   starvm::TaskGraph graph;
   std::vector<int> chain_buffers;
@@ -41,6 +46,7 @@ starvm::TaskGraph synthetic_pipeline(int tasks, int width) {
         graph.add_buffer("chain" + std::to_string(c), 1000 * 1000));
   }
   const int shared = graph.add_buffer("reduce", 1000 * 1000);
+  const std::vector<int> blocks = graph.partition(shared, width);
   std::vector<int> last(static_cast<std::size_t>(width), -1);
   for (int t = 0; t < tasks; ++t) {
     const int c = t % width;
@@ -49,6 +55,10 @@ starvm::TaskGraph synthetic_pipeline(int tasks, int width) {
          starvm::Access::kReadWrite}};
     if (t % (width * 8) == 0) {
       accesses.push_back({shared, starvm::Access::kReadWrite});
+    } else if (t % (width * 8) == width * 4) {
+      accesses.push_back(
+          {blocks[static_cast<std::size_t>(t / (width * 8) % width)],
+           starvm::Access::kRead});
     }
     std::vector<int> deps;
     if (last[static_cast<std::size_t>(c)] >= 0) {

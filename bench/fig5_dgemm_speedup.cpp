@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
               "costs measured, GPU costs modeled) ---\n");
   if (host_cores < 8) {
     std::printf("NOTE: this host has %u core(s); the paper testbed has 8.\n"
-                "Wall-clock CPU parallelism cannot materialize here, so the\n"
-                "hybrid block validates *results*, while the simulation block\n"
-                "below reproduces the *figure* from the calibrated models.\n\n",
+                "The hybrid block runs on the host's cores and validates\n"
+                "*results*; the simulation block below reproduces the\n"
+                "*figure* from the calibrated models.\n\n",
                 host_cores);
   }
   print_block("real", quick ? 256 : 512, starvm::ExecutionMode::kHybrid, true);

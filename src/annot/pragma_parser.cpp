@@ -6,30 +6,11 @@ namespace cascabel {
 
 using pdl::util::trim;
 
-std::string_view to_string(AccessMode mode) {
-  switch (mode) {
-    case AccessMode::kRead: return "read";
-    case AccessMode::kWrite: return "write";
-    case AccessMode::kReadWrite: return "readwrite";
-  }
-  return "?";
-}
-
 std::optional<AccessMode> access_mode_from_string(std::string_view s) {
   if (pdl::util::iequals(s, "read")) return AccessMode::kRead;
   if (pdl::util::iequals(s, "write")) return AccessMode::kWrite;
   if (pdl::util::iequals(s, "readwrite")) return AccessMode::kReadWrite;
   return std::nullopt;
-}
-
-std::string_view to_string(DistributionKind kind) {
-  switch (kind) {
-    case DistributionKind::kNone: return "none";
-    case DistributionKind::kBlock: return "BLOCK";
-    case DistributionKind::kCyclic: return "CYCLIC";
-    case DistributionKind::kBlockCyclic: return "BLOCKCYCLIC";
-  }
-  return "?";
 }
 
 std::optional<DistributionKind> distribution_from_string(std::string_view s) {

@@ -21,14 +21,12 @@ namespace cascabel {
 /// Parameter access specifiers (paper: read, write, readwrite).
 enum class AccessMode { kRead, kWrite, kReadWrite };
 
-std::string_view to_string(AccessMode mode);
 std::optional<AccessMode> access_mode_from_string(std::string_view s);
 
 /// Data distributions referenced by execute annotations (paper: "block,
 /// cyclic, block-cyclic, and optional sizes").
 enum class DistributionKind { kNone, kBlock, kCyclic, kBlockCyclic };
 
-std::string_view to_string(DistributionKind kind);
 std::optional<DistributionKind> distribution_from_string(std::string_view s);
 
 /// Byte range in the original source text.

@@ -3,9 +3,10 @@
 // the platform description file" — platform-specific compilers (nvcc,
 // gcc-spu, xlc, ...) per processing unit, then one link step.
 //
-// The plan is a data structure plus Makefile/shell renderings; the
-// toolchain does not execute it (this machine has no nvcc), matching the
-// paper's prototype where the user runs the produced plan.
+// The plan is a data structure plus a Makefile rendering; the toolchain
+// does not execute it (it may name compilers the build host lacks, such as
+// nvcc), matching the paper's prototype where the user runs the produced
+// plan.
 #pragma once
 
 #include <string>
@@ -36,8 +37,6 @@ struct CompilePlan {
 
   /// Render as a Makefile.
   std::string to_makefile() const;
-  /// Render as a shell script.
-  std::string to_script() const;
 };
 
 /// Derive the plan for one generated source file targeting `platform`.

@@ -20,8 +20,4 @@ double ddot(std::size_t n, const double* x, const double* y) {
 
 double dnrm2(std::size_t n, const double* x) { return std::sqrt(ddot(n, x, x)); }
 
-void dscal(std::size_t n, double alpha, double* x) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
 }  // namespace kernels

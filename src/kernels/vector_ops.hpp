@@ -18,7 +18,4 @@ double ddot(std::size_t n, const double* x, const double* y);
 /// Euclidean norm.
 double dnrm2(std::size_t n, const double* x);
 
-/// x[i] *= alpha.
-void dscal(std::size_t n, double alpha, double* x);
-
 }  // namespace kernels

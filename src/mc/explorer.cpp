@@ -281,12 +281,19 @@ Result Explorer::explore() {
   canonical_hash_ = 0;
 
   std::vector<int> prefix;
+  if (options_.max_runs == 0) {
+    result.truncated = true;
+    return result;
+  }
   RunOutcome root = execute(prefix);
   ++result.runs;
   canonical_hash_ = root.output_hash;
   canonical_known_ = program_.output_hash != nullptr;
 
-  if (options_.replay_check) {
+  // The replay check costs a second run; a budget of one run skips it and
+  // reports the exploration as truncated.
+  const bool replay = options_.replay_check && result.runs < options_.max_runs;
+  if (replay) {
     // Byte-stable replay: a second fresh engine driven by the same (empty)
     // prefix must make identical decisions and reach an identical state.
     RunOutcome again = execute(prefix);
@@ -311,6 +318,7 @@ Result Explorer::explore() {
   }
 
   explore_node(prefix, {}, &root, &result);
+  if (options_.replay_check && !replay) result.truncated = true;
   return result;
 }
 

@@ -66,7 +66,9 @@ struct Options {
   /// Result::truncated.
   std::size_t max_depth = 256;
 
-  /// Engine executions budget; hitting it sets Result::truncated.
+  /// Engine executions budget, the canonical run and its replay check
+  /// included: no more than this many engines run. Hitting it sets
+  /// Result::truncated.
   std::size_t max_runs = 200000;
 
   /// Sleep-set partial-order reduction. Off = naive DFS over the full

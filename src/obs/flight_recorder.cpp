@@ -131,12 +131,6 @@ std::uint64_t FlightRecorder::overwritten() const {
   return n;
 }
 
-std::size_t FlightRecorder::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& r : rings_) bytes += r->capacity() * 8 * sizeof(std::uint64_t);
-  return bytes;
-}
-
 std::string flight_events_jsonl(const std::vector<FlightEvent>& events,
                                 const std::string& reason,
                                 std::uint64_t produced,

@@ -119,7 +119,6 @@ class FlightRecorder {
 
   std::uint64_t produced() const;
   std::uint64_t overwritten() const;
-  std::size_t memory_bytes() const;
 
  private:
   std::vector<std::unique_ptr<FlightRing>> rings_;

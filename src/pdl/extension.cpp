@@ -134,13 +134,6 @@ const Subschema* SchemaRegistry::find_by_type(std::string_view xsi_type) const {
   return nullptr;
 }
 
-const Subschema* SchemaRegistry::find_by_prefix(std::string_view prefix) const {
-  for (const auto& s : subschemas_) {
-    if (s.prefix == prefix) return &s;
-  }
-  return nullptr;
-}
-
 namespace {
 
 void check_property(const SchemaRegistry& registry, const Property& prop,

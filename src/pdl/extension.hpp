@@ -69,7 +69,6 @@ class SchemaRegistry {
   bool register_subschema(Subschema subschema);
 
   const Subschema* find_by_type(std::string_view xsi_type) const;
-  const Subschema* find_by_prefix(std::string_view prefix) const;
   const std::vector<Subschema>& subschemas() const { return subschemas_; }
 
   /// Validate every property in the platform against its subschema:

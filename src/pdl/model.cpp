@@ -54,11 +54,6 @@ std::string Descriptor::get_or(std::string_view name, std::string fallback) cons
   return p != nullptr ? p->value : std::move(fallback);
 }
 
-std::optional<std::int64_t> Descriptor::get_int(std::string_view name) const {
-  const Property* p = find(name);
-  return p != nullptr ? p->as_int() : std::nullopt;
-}
-
 std::optional<double> Descriptor::get_double(std::string_view name) const {
   const Property* p = find(name);
   return p != nullptr ? p->as_double() : std::nullopt;
@@ -72,34 +67,6 @@ Property& Descriptor::add(std::string name, std::string value) {
 Property& Descriptor::add(Property property) {
   properties_.push_back(std::move(property));
   return properties_.back();
-}
-
-Property& Descriptor::set(std::string_view name, std::string_view value) {
-  if (Property* p = find(name)) {
-    p->value = std::string(value);
-    return *p;
-  }
-  return add(std::string(name), std::string(value));
-}
-
-std::size_t Descriptor::remove(std::string_view name) {
-  std::size_t removed = 0;
-  for (auto it = properties_.begin(); it != properties_.end();) {
-    if (it->name == name) {
-      it = properties_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
-const MemoryRegion* ProcessingUnit::find_memory_region(std::string_view mr_id) const {
-  for (const auto& mr : memory_regions_) {
-    if (mr.id == mr_id) return &mr;
-  }
-  return nullptr;
 }
 
 bool ProcessingUnit::in_group(std::string_view group) const {

@@ -69,8 +69,6 @@ class Descriptor {
   std::string get(std::string_view name) const;
   /// Value of the property, or `fallback` when absent.
   std::string get_or(std::string_view name, std::string fallback) const;
-  /// Integer value of the property; nullopt when absent/non-numeric.
-  std::optional<std::int64_t> get_int(std::string_view name) const;
   /// Floating-point value; nullopt when absent/non-numeric.
   std::optional<double> get_double(std::string_view name) const;
   bool has(std::string_view name) const { return find(name) != nullptr; }
@@ -79,10 +77,6 @@ class Descriptor {
   Property& add(std::string name, std::string value);
   /// Append a fully specified property.
   Property& add(Property property);
-  /// Set (replacing the first occurrence) or append.
-  Property& set(std::string_view name, std::string_view value);
-  /// Remove all properties with the name; returns the count removed.
-  std::size_t remove(std::string_view name);
 
  private:
   std::vector<Property> properties_;
@@ -128,8 +122,6 @@ class ProcessingUnit {
 
   std::vector<MemoryRegion>& memory_regions() { return memory_regions_; }
   const std::vector<MemoryRegion>& memory_regions() const { return memory_regions_; }
-  /// Memory region by id under this PU; nullptr if absent.
-  const MemoryRegion* find_memory_region(std::string_view id) const;
 
   std::vector<Interconnect>& interconnects() { return interconnects_; }
   const std::vector<Interconnect>& interconnects() const { return interconnects_; }

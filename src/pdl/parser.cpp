@@ -253,14 +253,4 @@ util::Result<Platform> parse_platform_file(const std::string& path, Diagnostics&
   return parse_platform(*contents, diags, path);
 }
 
-util::Result<Platform> parse_platform(std::string_view xml_text) {
-  Diagnostics diags;
-  return parse_platform(xml_text, diags);
-}
-
-util::Result<Platform> parse_platform_file(const std::string& path) {
-  Diagnostics diags;
-  return parse_platform_file(path, diags);
-}
-
 }  // namespace pdl

@@ -27,8 +27,4 @@ util::Result<Platform> parse_platform(std::string_view xml_text, Diagnostics& di
 /// Parse a platform from a PDL file (locations carry `path`).
 util::Result<Platform> parse_platform_file(const std::string& path, Diagnostics& diags);
 
-/// Convenience overloads that discard diagnostics.
-util::Result<Platform> parse_platform(std::string_view xml_text);
-util::Result<Platform> parse_platform_file(const std::string& path);
-
 }  // namespace pdl

@@ -258,28 +258,10 @@ std::string pattern_to_string(const ProcessingUnit& pu) {
   return os.str();
 }
 
-std::string pattern_to_string(const Platform& pattern) {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& master : pattern.masters()) {
-    if (!first) os << ';';
-    first = false;
-    render_pu(os, *master);
-  }
-  return os.str();
-}
-
 bool pu_satisfies(const ProcessingUnit& pattern_pu, const ProcessingUnit& concrete) {
   if (pattern_pu.kind() != concrete.kind()) return false;
   std::string reason;
   return properties_satisfied(pattern_pu, concrete, reason);
-}
-
-MatchResult match(const ProcessingUnit& pattern, const ProcessingUnit& concrete) {
-  MatchResult result;
-  result.matched = match_pu(pattern, concrete, result.bindings, result.reason);
-  if (!result.matched) result.bindings.clear();
-  return result;
 }
 
 MatchResult match(const Platform& pattern, const Platform& concrete) {

@@ -41,10 +41,9 @@ namespace pdl {
 /// Parse the compact pattern syntax into a single-master pattern Platform.
 util::Result<Platform> parse_pattern(std::string_view text);
 
-/// Render a pattern Platform back to the compact syntax (inverse of
-/// parse_pattern for patterns; also usable on concrete platforms to get a
-/// structural summary).
-std::string pattern_to_string(const Platform& pattern);
+/// Render a pattern PU subtree back to the compact syntax (inverse of
+/// parse_pattern for a pattern's master; also usable on concrete PUs to get
+/// a structural summary).
 std::string pattern_to_string(const ProcessingUnit& pu);
 
 /// One pattern-PU -> concrete-PU assignment recorded during matching.
@@ -68,9 +67,6 @@ struct MatchResult {
 /// structural match succeeds, tools enumerate *every* PU a variant may run
 /// on (the minimal bindings of match() only witness the requirement).
 bool pu_satisfies(const ProcessingUnit& pattern_pu, const ProcessingUnit& concrete);
-
-/// Match a single pattern PU subtree against a concrete PU subtree.
-MatchResult match(const ProcessingUnit& pattern, const ProcessingUnit& concrete);
 
 /// Match a pattern platform against a concrete platform: every pattern
 /// master must be satisfied by a distinct concrete master.

@@ -183,9 +183,4 @@ bool validate(const Platform& platform, Diagnostics& diags) {
   return count_severity(diags, Severity::kError) == errors_before;
 }
 
-bool is_valid(const Platform& platform) {
-  Diagnostics diags;
-  return validate(platform, diags);
-}
-
 }  // namespace pdl

@@ -26,7 +26,4 @@ namespace pdl {
 /// Run all structural checks; appends to `diags` and returns !has_errors.
 bool validate(const Platform& platform, Diagnostics& diags);
 
-/// Convenience: validate and return only the verdict.
-bool is_valid(const Platform& platform);
-
 }  // namespace pdl

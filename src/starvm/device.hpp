@@ -62,8 +62,8 @@ struct EngineConfig {
   double task_overhead_us = 10.0;
 
   /// Record a SchedulerDecision (candidate devices + modeled finish times)
-  /// for every task placement. Also implied by an active obs tracer or
-  /// event sink; off by default to keep the hot path free of the cost.
+  /// for every task placement. Also implied by an active obs tracer; off
+  /// by default to keep the hot path free of the cost.
   bool record_decisions = false;
 
   /// Group interchangeable host-node devices into placement classes so

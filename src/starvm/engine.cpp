@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "starvm/perf_store.hpp"
@@ -129,15 +128,6 @@ std::string_view to_string(DeviceKind kind) {
   switch (kind) {
     case DeviceKind::kCpu: return "cpu";
     case DeviceKind::kAccelerator: return "accelerator";
-  }
-  return "?";
-}
-
-std::string_view to_string(Access access) {
-  switch (access) {
-    case Access::kRead: return "read";
-    case Access::kWrite: return "write";
-    case Access::kReadWrite: return "readwrite";
   }
   return "?";
 }
@@ -802,35 +792,6 @@ pdl::util::Status Engine::wait_all() {
   return status;
 }
 
-bool Engine::wait(TaskId id) {
-  detail::TaskNode* task = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(submit_mutex_);
-    // Task ids are dense and start at 1; tasks_ preserves submission order.
-    if (id == 0 || id >= next_task_id_) return false;
-    task = &tasks_[static_cast<std::size_t>(id - 1)];
-  }
-  if (!hybrid()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    run_simulation_locked();
-    return task->state.load() == detail::TaskState::kDone;
-  }
-  // Register as a waiter first (sequentially consistent), so a finalizer
-  // that misses us in waiters_ has necessarily published the state change
-  // we are about to re-check under drain_mutex_.
-  waiters_.fetch_add(1);
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait(lock, [&] {
-      const detail::TaskState s = task->state.load();
-      return s == detail::TaskState::kDone ||
-             s == detail::TaskState::kFailed || pending_.load() == 0;
-    });
-  }
-  waiters_.fetch_sub(1);
-  return task->state.load() == detail::TaskState::kDone;
-}
-
 pdl::util::Status Engine::drain_status_locked() const {
   if (failed_tasks_ == 0 && cancelled_tasks_ == 0) return {};
   std::string message = std::to_string(failed_tasks_) + " task(s) failed";
@@ -1086,11 +1047,9 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
     dispatch_ready(succ);
   }
   const std::size_t left = pending_.fetch_sub(1) - 1;
-  if (hybrid() && (left == 0 || waiters_.load() > 0)) {
-    // Only signal when someone can be listening: wait_all sleeps on
-    // pending_ == 0, wait(TaskId) registers itself in waiters_.
-    notify_drain();
-  }
+  // Only signal when someone can be listening: wait_all sleeps on
+  // pending_ == 0.
+  if (hybrid() && left == 0) notify_drain();
 }
 
 // --- Fault tolerance ----------------------------------------------------------
@@ -1123,16 +1082,6 @@ bool Engine::has_live_capable_device(const Codelet& codelet) const {
 void Engine::record_fault_event_locked(FaultEvent::Kind kind, double vtime,
                                        TaskId task, DeviceId device,
                                        int attempt, std::string detail) {
-  if (obs::has_event_sink()) {
-    obs::Event event("starvm.fault");
-    event.str("kind", to_string(kind))
-        .num("vtime", vtime)
-        .num("task_id", static_cast<std::uint64_t>(task))
-        .num("device", static_cast<double>(device))
-        .num("attempt", static_cast<std::uint64_t>(attempt < 0 ? 0 : attempt))
-        .str("detail", detail);
-    obs::emit_event(event);
-  }
   fault_events_.push_back(
       FaultEvent{kind, vtime, task, device, attempt, std::move(detail)});
   if (flight_) {
@@ -1353,8 +1302,7 @@ void Engine::handle_task_failure(detail::TaskNode& task,
 void Engine::record_decision(const detail::TaskNode& task,
                              const detail::DeviceState& chosen) {
   if (obs::metrics_enabled()) decision_counter_->inc();
-  if (!config_.record_decisions && !obs::tracing_enabled() &&
-      !obs::has_event_sink()) {
+  if (!config_.record_decisions && !obs::tracing_enabled()) {
     return;  // hot path: no candidate vector, no lock
   }
 
@@ -1384,30 +1332,6 @@ void Engine::record_decision(const detail::TaskNode& task,
         std::max(device.avail_vtime.load(), task.ready_vtime.load()) +
         estimated_cost(task, device);
     decision.candidates.push_back(std::move(candidate));
-  }
-
-  if (obs::has_event_sink()) {
-    obs::Event event("starvm.decision");
-    event.str("task", decision.label)
-        .num("task_id", static_cast<std::uint64_t>(decision.task))
-        .num("chosen", static_cast<double>(decision.chosen))
-        .str("chosen_name", chosen.spec.name)
-        .str("policy", to_string(config_.scheduler))
-        .num("decided_vtime", decision.decided_vtime);
-    std::string candidates = "[";
-    for (std::size_t i = 0; i < decision.candidates.size(); ++i) {
-      const DecisionCandidate& c = decision.candidates[i];
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.9g", c.est_finish_vtime);
-      if (i > 0) candidates += ",";
-      candidates += "{\"device\":" + std::to_string(c.device) + ",\"name\":\"" +
-                    obs::json_escape(c.device_name) +
-                    "\",\"devices\":" + std::to_string(c.class_size) +
-                    ",\"est_finish_vtime\":" + buf + "}";
-    }
-    candidates += "]";
-    event.raw("candidates", candidates);
-    obs::emit_event(event);
   }
 
   std::lock_guard<std::mutex> lock(decisions_mutex_);
@@ -1688,11 +1612,6 @@ void Engine::run_task_hybrid(detail::TaskNode& task,
 }
 
 // --- Flight recorder ------------------------------------------------------------
-
-std::vector<obs::FlightEvent> Engine::flight_snapshot() const {
-  if (!flight_) return {};
-  return flight_->snapshot();
-}
 
 bool Engine::dump_flight_recorder(const std::string& prefix,
                                   const std::string& reason) const {

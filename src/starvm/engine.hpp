@@ -123,11 +123,6 @@ class Engine {
   /// keep reporting the error.
   pdl::util::Status wait_all();
 
-  /// Block until a specific task has completed; false for unknown, failed,
-  /// or cancelled ids. In pure simulation this drains everything (the event
-  /// loop is not incremental), so prefer wait_all there.
-  bool wait(TaskId id);
-
   // --- Introspection -----------------------------------------------------------
 
   const EngineConfig& config() const { return config_; }
@@ -149,10 +144,6 @@ class Engine {
   /// The always-on flight recorder; nullptr when disabled
   /// (EngineConfig::flight_records_per_device == 0).
   const obs::FlightRecorder* flight_recorder() const { return flight_.get(); }
-
-  /// Merged, time-ordered snapshot of every flight ring. Safe at any time,
-  /// including while workers are running (torn records are dropped).
-  std::vector<obs::FlightEvent> flight_snapshot() const;
 
   /// Explicit post-mortem dump: write <prefix>.jsonl (one record per line)
   /// and <prefix>.trace.json (Chrome trace; recorder events on their own
@@ -332,17 +323,13 @@ class Engine {
   mutable std::mutex fault_mutex_;
   /// SchedulerDecision log (taken only when recording is active).
   mutable std::mutex decisions_mutex_;
-  /// Pairs with drain_cv_ for wait/wait_all sleeping.
+  /// Pairs with drain_cv_ for wait_all sleeping.
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 
   std::atomic<bool> stopping_{false};
   /// Tasks submitted but not yet done/failed/cancelled.
   std::atomic<std::size_t> pending_{0};
-  /// Threads blocked in wait(TaskId); finalize only signals drain_cv_ when
-  /// someone is actually watching or pending_ hit zero, instead of once
-  /// per completed task.
-  std::atomic<int> waiters_{0};
 
   detail::TaskArena tasks_;  ///< submit_mutex_
   /// A codelet's resolved calibration rows: its own row plus the per-kind

@@ -132,14 +132,6 @@ std::vector<TaskGraph::LiveInterval> TaskGraph::root_live_intervals() const {
   return intervals;
 }
 
-std::uint64_t TaskGraph::total_root_bytes() const {
-  std::uint64_t total = 0;
-  for (const GraphBuffer& buffer : buffers_) {
-    if (buffer.parent < 0) total += buffer.bytes;
-  }
-  return total;
-}
-
 std::vector<TaskGraph::Edge> TaskGraph::edges(bool include_inferred) const {
   std::vector<Edge> result;
   // Per-buffer sequential-consistency state, replayed in submission order

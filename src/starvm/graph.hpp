@@ -209,10 +209,6 @@ class TaskGraph {
   /// their root so footprint queries can index by any handle.
   std::vector<LiveInterval> root_live_intervals() const;
 
-  /// Sum of all root-buffer bytes — the total working set assuming every
-  /// allocation is live at once (the capacity analyzer's upper bound).
-  std::uint64_t total_root_bytes() const;
-
   /// A declared-dependency cycle (task indices in cycle order), or empty.
   /// Cycles can only arise through forward declared deps; the engine
   /// silently treats those as satisfied, so a cycle means the program's

@@ -5,15 +5,14 @@
 // falling back to the analytic FLOPs / sustained-GFLOPS estimate before
 // history exists (paper §II: PDL properties feed performance prediction).
 //
-// Thread-safe two ways:
-//  - The name-keyed API (estimate/observe/samples/save/load) takes an
-//    internal mutex and is safe from any thread.
-//  - The hot path avoids that mutex entirely: row() hands out a stable
-//    pointer to a codelet's calibration row once (at task wiring), and
-//    estimate_in / observe_in operate on the row's atomic cells lock-free.
-//    Each (codelet, device) cell has a single writer — the device's worker
-//    thread — so a relaxed-store / release-count protocol suffices; readers
-//    pair it with an acquire load of the count.
+// Thread-safety: the codelet-keyed calls (row, history_estimate,
+// snapshot, preload) take an internal mutex. The hot path avoids it:
+// row() hands out a stable pointer to a codelet's calibration row once
+// (at task wiring), and estimate_in / observe_in operate on the row's
+// atomic cells lock-free. Each (codelet, device) cell has a single
+// writer — the device's worker thread — so a relaxed-store /
+// release-count protocol suffices; readers pair it with an acquire load
+// of the count.
 #pragma once
 
 #include <array>
@@ -76,15 +75,6 @@ class PerfModel {
   /// first dispatch), so it never races the cell's single observer.
   static bool seed_in(Row& row, int device, double gflops);
 
-  /// Observed rate EMA for a cell, or nullopt before any observation
-  /// (seeds don't count: they are priors, not measurements).
-  static std::optional<double> measured_gflops_in(const Row& row, int device);
-
-  /// Estimated seconds for a task of `flops` useful work on device `device`
-  /// running at `device_gflops`. History, when present, wins.
-  double estimate(std::string_view codelet, int device, double flops,
-                  double device_gflops) const;
-
   /// Calibrated estimate only: the EMA when the pair has history, nullopt
   /// otherwise. Side-effect-free — never creates a row, so static analyses
   /// (schedule simulation) can probe an engine's model without mutating it.
@@ -94,21 +84,6 @@ class PerfModel {
   /// The fixed fallback estimate used when neither history nor a FLOPs
   /// model exists; exposed so static analyses produce the same numbers.
   static double default_estimate_seconds();
-
-  /// Record an observed execution time (seconds).
-  void observe(std::string_view codelet, int device, double seconds);
-
-  /// Number of observations recorded for the pair.
-  std::uint64_t samples(std::string_view codelet, int device) const;
-
-  /// Persist the calibration history (StarPU keeps per-codelet calibration
-  /// across runs; so do we). Plain text, one "codelet device ema count"
-  /// record per line; codelet names must not contain whitespace.
-  bool save(const std::string& path) const;
-
-  /// Merge a previously saved history (existing pairs are overwritten).
-  /// False when the file is missing or malformed.
-  bool load(const std::string& path);
 
   /// One calibrated (codelet, device) cell, as exported to / imported from
   /// the persisted perf store (perf_store.hpp).

@@ -43,7 +43,7 @@ struct DeviceStats {
 };
 
 /// One fault-tolerance decision, in virtual-clock order. Rendered as
-/// instant events in the Chrome trace and emitted on the obs event sink.
+/// instant events in the Chrome trace and recorded in the flight recorder.
 struct FaultEvent {
   enum class Kind {
     kFailure,     ///< an execution attempt failed (injected, fail(), throw)
@@ -102,8 +102,8 @@ struct DecisionCandidate {
 };
 
 /// A placement decision: which device won a task and what the alternatives
-/// looked like. Recorded when EngineConfig::record_decisions is set or an
-/// obs trace/event sink is active.
+/// looked like. Recorded when EngineConfig::record_decisions is set or the
+/// obs tracer is active.
 struct SchedulerDecision {
   TaskId task = 0;
   std::string label;

@@ -91,15 +91,6 @@ void append_engine_events(std::ostringstream& os, const EngineStats& stats,
 
 }  // namespace
 
-std::string to_chrome_trace(const EngineStats& stats) {
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
-  append_engine_events(os, stats, 1, first);
-  os << "]";
-  return os.str();
-}
-
 std::string merged_chrome_trace(const std::vector<obs::SpanRecord>& spans,
                                 const EngineStats* stats) {
   std::string out = "[";

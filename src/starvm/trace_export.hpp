@@ -1,9 +1,8 @@
 // Trace export: render an EngineStats task trace for humans and tools.
 //
 //   * Chrome trace-event JSON — load in chrome://tracing / Perfetto to see
-//     the per-device virtual-time schedule;
-//   * a merged timeline that also carries the toolchain's wall-time spans
-//     (obs::Tracer) in a separate process lane;
+//     the per-device virtual-time schedule next to the toolchain's
+//     wall-time spans (obs::Tracer), each in its own process lane;
 //   * an ASCII Gantt chart for terminals and logs.
 #pragma once
 
@@ -16,19 +15,18 @@
 
 namespace starvm {
 
-/// Chrome trace-event format (JSON array of complete events, "X" phase).
-/// One row per device; timestamps are the virtual clock in microseconds.
-/// Degenerate traces are sanitized: non-finite or negative durations clamp
-/// to zero, a non-finite flops estimate is omitted from the args, and
-/// tasks that never ran (device == -1) land on an "unassigned" lane.
-/// Scheduler decisions, when recorded, appear as instant events ("i")
-/// carrying the candidate devices and their modeled finish times.
-std::string to_chrome_trace(const EngineStats& stats);
-
-/// One Chrome trace combining toolchain wall-time spans (pid 1, from
-/// obs::Tracer) with the engine's virtual-clock schedule (pid 2, when
-/// `stats` is non-null). The two clocks are unrelated; separate pid lanes
-/// keep the viewer from implying simultaneity.
+/// One Chrome trace (JSON array of trace events) combining toolchain
+/// wall-time spans (pid 1, from obs::Tracer) with the engine's
+/// virtual-clock schedule (pid 2, when `stats` is non-null). The two clocks
+/// are unrelated; separate pid lanes keep the viewer from implying
+/// simultaneity. The engine lane has one row per device, one complete
+/// ("X") event per task with timestamps on the virtual clock in
+/// microseconds, and, when recorded, one instant ("i") event per fault and
+/// per scheduler decision (carrying the candidate devices and their
+/// modeled finish times). Degenerate stats are sanitized: non-finite or
+/// negative durations clamp to zero, a non-finite flops estimate is
+/// omitted from the args, and tasks that never ran (device == -1) land on
+/// an "unassigned" row.
 std::string merged_chrome_trace(const std::vector<obs::SpanRecord>& spans,
                                 const EngineStats* stats);
 

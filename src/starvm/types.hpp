@@ -22,7 +22,6 @@ std::string_view to_string(DeviceKind kind);
 /// dependencies (sequential consistency per data handle, like StarPU).
 enum class Access { kRead, kWrite, kReadWrite };
 
-std::string_view to_string(Access access);
 inline bool reads(Access a) { return a != Access::kWrite; }
 inline bool writes(Access a) { return a != Access::kRead; }
 

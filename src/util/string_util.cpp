@@ -66,13 +66,6 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -130,16 +123,6 @@ std::optional<double> parse_double(std::string_view s) {
   if (errno == ERANGE && !std::isfinite(value)) return std::nullopt;
   if (!std::isfinite(value)) return std::nullopt;
   return value;
-}
-
-std::string replace_all(std::string s, std::string_view from, std::string_view to) {
-  if (from.empty()) return s;
-  std::size_t pos = 0;
-  while ((pos = s.find(from, pos)) != std::string::npos) {
-    s.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return s;
 }
 
 std::string location_string(std::string_view file, int line, int column) {

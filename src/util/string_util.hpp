@@ -24,9 +24,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// ASCII lower-case copy.
 std::string to_lower(std::string_view s);
 
-/// ASCII upper-case copy.
-std::string to_upper(std::string_view s);
-
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
@@ -38,9 +35,6 @@ std::optional<std::int64_t> parse_int(std::string_view s);
 
 /// Parse a floating-point value; nullopt on any non-numeric content.
 std::optional<double> parse_double(std::string_view s);
-
-/// Replace every occurrence of `from` (non-empty) with `to`.
-std::string replace_all(std::string s, std::string_view from, std::string_view to);
 
 /// "1:4:2" -> file:line:col display helper used by diagnostics.
 std::string location_string(std::string_view file, int line, int column);

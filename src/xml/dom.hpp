@@ -2,8 +2,9 @@
 //
 // The paper's PDL is XML with XSD-style extension (namespaced xsi:type
 // properties), so the DOM supports: elements with attributes, text, CDATA,
-// comments, processing instructions, and namespace prefix resolution via
-// xmlns declarations. It is a strict tree: elements own their children.
+// comments and processing instructions. Names keep their prefixes as
+// written ("ocl:Property", "xmlns:ocl"); the PDL layer checks extension
+// namespaces itself. It is a strict tree: elements own their children.
 #pragma once
 
 #include <memory>
@@ -42,7 +43,6 @@ class Node {
 
   /// Downcasts; nullptr when the node is not an element.
   Element* as_element();
-  const Element* as_element() const;
 
   /// Text/CData/Comment/PI content; empty for elements.
   const std::string& text() const { return text_; }
@@ -66,7 +66,7 @@ class Element : public Node {
   explicit Element(std::string name)
       : Node(NodeKind::kElement), name_(std::move(name)) {}
 
-  // --- Name & namespaces -------------------------------------------------
+  // --- Name ---------------------------------------------------------------
 
   /// Qualified name as written, e.g. "ocl:Property".
   const std::string& name() const { return name_; }
@@ -74,12 +74,6 @@ class Element : public Node {
 
   /// Local part of the name ("Property" for "ocl:Property").
   std::string_view local_name() const;
-  /// Prefix part ("ocl" for "ocl:Property", "" when unprefixed).
-  std::string_view prefix() const;
-
-  /// Resolve a namespace prefix to its URI by walking xmlns declarations up
-  /// the ancestor chain; "" prefix resolves default xmlns. nullopt if unbound.
-  std::optional<std::string> resolve_namespace(std::string_view prefix) const;
 
   // --- Attributes ---------------------------------------------------------
 
@@ -90,8 +84,6 @@ class Element : public Node {
   std::string attribute_or(std::string_view name, std::string fallback) const;
   /// Sets (replacing) or appends an attribute.
   void set_attribute(std::string_view name, std::string_view value);
-  /// Removes an attribute if present; returns whether it existed.
-  bool remove_attribute(std::string_view name);
 
   // --- Children -----------------------------------------------------------
 
@@ -104,12 +96,7 @@ class Element : public Node {
   /// Convenience: append a text node.
   Node* append_text(std::string text);
 
-  /// First child element with the given qualified name (nullptr if none).
-  Element* first_child(std::string_view name);
-  const Element* first_child(std::string_view name) const;
-
   /// All child elements; optionally filtered by qualified name.
-  std::vector<Element*> child_elements(std::string_view name = {});
   std::vector<const Element*> child_elements(std::string_view name = {}) const;
 
   /// Concatenated text content of immediate Text/CData children, trimmed.

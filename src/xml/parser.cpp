@@ -399,15 +399,6 @@ util::Result<Document> parse(std::string_view text, const ParseOptions& options)
   return result;
 }
 
-util::Result<Document> parse_file(const std::string& path, ParseOptions options) {
-  auto contents = util::read_file(path);
-  if (!contents) {
-    return util::Error{"cannot open file", path};
-  }
-  if (options.source_name == "<memory>") options.source_name = path;
-  return parse(*contents, options);
-}
-
 util::Result<std::string> decode_entities(std::string_view text) {
   std::string out;
   out.reserve(text.size());

@@ -26,9 +26,6 @@ struct ParseOptions {
 /// Parse a complete document from text.
 util::Result<Document> parse(std::string_view text, const ParseOptions& options = {});
 
-/// Parse a document from a file on disk.
-util::Result<Document> parse_file(const std::string& path, ParseOptions options = {});
-
 /// Decode the predefined entities and numeric character references in `text`.
 /// Unknown entities are an error.
 util::Result<std::string> decode_entities(std::string_view text);

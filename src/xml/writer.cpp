@@ -101,10 +101,4 @@ std::string write(const Document& doc, const WriteOptions& options) {
   return out;
 }
 
-std::string write(const Element& element, const WriteOptions& options) {
-  std::string out;
-  write_element(out, element, options, 0);
-  return out;
-}
-
 }  // namespace pdl::xml

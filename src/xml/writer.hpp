@@ -16,7 +16,4 @@ struct WriteOptions {
 /// Serialize a whole document.
 std::string write(const Document& doc, const WriteOptions& options = {});
 
-/// Serialize a single element subtree (no declaration).
-std::string write(const Element& element, const WriteOptions& options = {});
-
 }  // namespace pdl::xml

@@ -305,6 +305,7 @@ task gemm read=a write=c model=rounding depth=1000
 }
 
 TEST(AnalyzeAccuracy, EpsilonFloorComesFromPlatformAccuracyProperty) {
+  pdl::Diagnostics parse_diags;
   auto platform = pdl::parse_platform(R"(<?xml version="1.0"?>
 <Platform name="mixed" version="1.0">
   <Master id="m" quantity="1">
@@ -319,7 +320,7 @@ TEST(AnalyzeAccuracy, EpsilonFloorComesFromPlatformAccuracyProperty) {
       </PUDescriptor>
     </Worker>
   </Master>
-</Platform>)");
+</Platform>)", parse_diags);
   ASSERT_TRUE(platform.ok()) << platform.error().str();
   // The floor is the loosest PU: a dynamic scheduler may place any task
   // on the fp32 unit.
@@ -332,7 +333,7 @@ TEST(AnalyzeAccuracy, EpsilonFloorComesFromPlatformAccuracyProperty) {
       <Property fixed="true"><name>ARCHITECTURE</name><value>x86</value></Property>
     </PUDescriptor>
   </Master>
-</Platform>)");
+</Platform>)", parse_diags);
   ASSERT_TRUE(no_accuracy.ok());
   EXPECT_EQ(accuracy_epsilon_floor(no_accuracy.value()), 0.0);
 }
@@ -362,8 +363,10 @@ task gemm read=a write=c model=rounding depth=1000
 }
 
 TEST(AnalyzeAccuracy, CommittedFixturePairFiresA701AndA703) {
+  pdl::Diagnostics parse_diags;
   auto platform = pdl::parse_platform_file(
-      std::string(PDL_SOURCE_DIR) + "/tests/fixtures/fp32-testbed.pdl.xml");
+      std::string(PDL_SOURCE_DIR) + "/tests/fixtures/fp32-testbed.pdl.xml",
+      parse_diags);
   ASSERT_TRUE(platform.ok()) << platform.error().str();
   auto graph = load_graph_file(std::string(PDL_SOURCE_DIR) +
                                "/tests/fixtures/tolerance.graph");

@@ -85,7 +85,8 @@ TEST(PlanGolden, EveryPlatformTimesEveryGraph) {
 
   std::string actual;
   for (const std::string& platform_path : platforms) {
-    auto platform = pdl::parse_platform_file(kRoot + platform_path);
+    pdl::Diagnostics parse_diags;
+    auto platform = pdl::parse_platform_file(kRoot + platform_path, parse_diags);
     ASSERT_TRUE(platform.ok()) << platform_path;
     for (const std::string& graph_path : graphs) {
       auto graph = load_graph_file(kRoot + graph_path);

@@ -184,8 +184,9 @@ TEST(Profile, RunsFixtureGraphOnFixturePlatform) {
   const std::string root = PDL_SOURCE_DIR;
   auto graph = load_graph_file(root + "/tests/fixtures/dgemm_pipeline.graph");
   ASSERT_TRUE(graph.ok()) << graph.error().str();
+  pdl::Diagnostics parse_diags;
   auto platform = pdl::parse_platform_file(
-      root + "/tests/fixtures/undersized.pdl.xml");
+      root + "/tests/fixtures/undersized.pdl.xml", parse_diags);
   ASSERT_TRUE(platform.ok()) << platform.error().str();
 
   auto stats = run_graph_on_platform(graph.value(), platform.value());

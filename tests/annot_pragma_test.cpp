@@ -140,10 +140,6 @@ TEST(ExecutePragma, BlockCyclicSpellings) {
 }
 
 TEST(EnumStrings, RoundTrip) {
-  EXPECT_EQ(to_string(AccessMode::kRead), "read");
-  EXPECT_EQ(to_string(AccessMode::kWrite), "write");
-  EXPECT_EQ(to_string(AccessMode::kReadWrite), "readwrite");
-  EXPECT_EQ(to_string(DistributionKind::kBlock), "BLOCK");
   EXPECT_EQ(access_mode_from_string("readwrite"), AccessMode::kReadWrite);
   EXPECT_FALSE(access_mode_from_string("rw").has_value());
   EXPECT_EQ(distribution_from_string("block"), DistributionKind::kBlock);

@@ -76,14 +76,5 @@ TEST(CompilePlan, MakefileRendering) {
   EXPECT_NE(makefile.find("-lstarvm"), std::string::npos);
 }
 
-TEST(CompilePlan, ScriptRendering) {
-  const CompilePlan plan =
-      derive_compile_plan(paper_platform_starpu_cpu(), "gen.cpp", "prog");
-  const std::string script = plan.to_script();
-  EXPECT_NE(script.find("#!/bin/sh"), std::string::npos);
-  EXPECT_NE(script.find("set -e"), std::string::npos);
-  EXPECT_NE(script.find("-o prog"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace cascabel

@@ -94,7 +94,7 @@ TEST(ContextEdge, StatsFeedTraceExports) {
                   .ok());
   EXPECT_TRUE(ctx.wait().ok());
   const auto stats = ctx.stats();
-  const std::string json = starvm::to_chrome_trace(stats);
+  const std::string json = starvm::merged_chrome_trace({}, &stats);
   EXPECT_NE(json.find("Ivecadd["), std::string::npos);
   const std::string gantt = starvm::to_ascii_gantt(stats, 5);  // width clamped
   EXPECT_NE(gantt.find('#'), std::string::npos);

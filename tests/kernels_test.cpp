@@ -251,14 +251,6 @@ TEST(VectorOps, DotAndNorm) {
   EXPECT_DOUBLE_EQ(dnrm2(2, x.data()), 5.0);
 }
 
-TEST(VectorOps, Scal) {
-  std::vector<double> x = {1, -2, 4};
-  dscal(3, -0.5, x.data());
-  EXPECT_DOUBLE_EQ(x[0], -0.5);
-  EXPECT_DOUBLE_EQ(x[1], 1.0);
-  EXPECT_DOUBLE_EQ(x[2], -2.0);
-}
-
 TEST(Matrix, FillRandomIsDeterministicPerSeed) {
   Matrix a(4, 4), b(4, 4), c(4, 4);
   a.fill_random(42);

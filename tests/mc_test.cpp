@@ -90,6 +90,20 @@ TEST(McExplorer, DiamondWithFaultPlanClean) {
   EXPECT_GE(canonical.stats.retries, 1u);
 }
 
+TEST(McExplorer, BudgetCapsEngineRunsIncludingTheReplayCheck) {
+  for (const std::size_t budget : {1u, 2u, 3u, 5u}) {
+    Options options;
+    options.max_runs = budget;
+    Explorer explorer(graph_program("diamond.graph", 2), options);
+    const Result result = explorer.explore();
+    EXPECT_LE(result.runs, budget) << "budget " << budget;
+    EXPECT_TRUE(result.truncated) << "budget " << budget;
+    // The canonical run is still checked as a terminal state.
+    EXPECT_GE(result.terminals, 1u) << "budget " << budget;
+    EXPECT_TRUE(result.findings.empty()) << findings_str(result);
+  }
+}
+
 TEST(McExplorer, ForkJoinTwoDevicesClean) {
   Explorer explorer(graph_program("forkjoin.graph", 2), Options{});
   const Result result = explorer.explore();

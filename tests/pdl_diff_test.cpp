@@ -38,9 +38,11 @@ TEST(Diff, DetectsPropertyChanges) {
   Platform a = discovery::paper_platform_starpu_cpu();
   Platform b = a.clone();
   auto* cores = const_cast<ProcessingUnit*>(find_pu(b, "cpu_cores"));
-  cores->descriptor().set(props::kSustainedGflops, "5.0");
+  cores->descriptor().find(props::kSustainedGflops)->value = "5.0";
   cores->descriptor().add("NEW_PROP", "x");
-  cores->descriptor().remove(props::kFrequencyMhz);
+  std::erase_if(cores->descriptor().properties(), [](const Property& p) {
+    return p.name == props::kFrequencyMhz;
+  });
 
   const auto entries = diff(a, b);
   EXPECT_TRUE(has_entry(entries, DiffKind::kPropertyChanged, props::kSustainedGflops));
@@ -85,7 +87,8 @@ TEST(Diff, RendersHumanReadableLines) {
   Platform b = a.clone();
   const_cast<ProcessingUnit*>(find_pu(b, "0"))
       ->descriptor()
-      .set(props::kCompiler, "clang");
+      .find(props::kCompiler)
+      ->value = "clang";
   const std::string text = to_string(diff(a, b));
   EXPECT_NE(text.find("property-changed @ 0 [COMPILER]: 'gcc' -> 'clang'"),
             std::string::npos);

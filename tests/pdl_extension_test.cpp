@@ -14,8 +14,6 @@ TEST(SchemaRegistry, BuiltinsArePresent) {
   EXPECT_NE(reg.find_by_type(props::kCudaPropertyType), nullptr);
   EXPECT_NE(reg.find_by_type(props::kCellPropertyType), nullptr);
   EXPECT_NE(reg.find_by_type(""), nullptr);  // base vocabulary
-  EXPECT_NE(reg.find_by_prefix("ocl"), nullptr);
-  EXPECT_EQ(reg.find_by_prefix("unknown"), nullptr);
 }
 
 TEST(SchemaRegistry, OclSubschemaMatchesPaperListing2) {

@@ -52,7 +52,8 @@ TEST(PatternToString, RoundTripsCompactSyntax) {
   const char* kPattern = "M(ARCHITECTURE=x86)[W(ARCHITECTURE=gpu)x2]";
   auto p = parse_pattern(kPattern);
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(pattern_to_string(p.value()), kPattern);
+  ASSERT_EQ(p.value().masters().size(), 1u);
+  EXPECT_EQ(pattern_to_string(*p.value().masters()[0]), kPattern);
 }
 
 TEST(PatternMatch, KindMustAgree) {

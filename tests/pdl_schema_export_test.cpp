@@ -3,7 +3,6 @@
 #include "pdl/schema_export.hpp"
 #include "pdl/well_known.hpp"
 #include "xml/parser.hpp"
-#include "xml/path.hpp"
 
 namespace pdl {
 namespace {
@@ -13,7 +12,7 @@ TEST(SchemaExport, ProducesWellFormedXml) {
   auto doc = xml::parse(xsd);
   ASSERT_TRUE(doc.ok()) << doc.error().str();
   EXPECT_EQ(doc.value().root()->local_name(), "schema");
-  EXPECT_EQ(doc.value().root()->resolve_namespace("xs"),
+  EXPECT_EQ(doc.value().root()->attribute("xmlns:xs"),
             "http://www.w3.org/2001/XMLSchema");
 }
 
@@ -28,14 +27,14 @@ TEST(SchemaExport, DefinesBaseEntities) {
         "ICDescriptorType", "MemoryRegionType", "InterconnectType",
         "PUCommonType", "MasterType", "HybridType", "WorkerType"}) {
     bool found = false;
-    for (const auto* e : xml::select_all(root, "xs:complexType")) {
+    for (const auto* e : root.child_elements("xs:complexType")) {
       found |= e->attribute_or("name", "") == type;
     }
     EXPECT_TRUE(found) << type;
   }
   // Both document roots the parser accepts are declared.
   std::vector<std::string> elements;
-  for (const auto* e : xml::select_all(root, "xs:element")) {
+  for (const auto* e : root.child_elements("xs:element")) {
     elements.push_back(e->attribute_or("name", ""));
   }
   EXPECT_NE(std::find(elements.begin(), elements.end(), "Master"), elements.end());

@@ -290,11 +290,5 @@ TEST(Validate, NormalizeMakesParsedDiagnosticsDeterministic) {
   }
 }
 
-TEST(Validate, IsValidConvenience) {
-  EXPECT_TRUE(is_valid(valid_platform()));
-  Platform bad;
-  EXPECT_FALSE(is_valid(bad));
-}
-
 }  // namespace
 }  // namespace pdl

@@ -351,22 +351,6 @@ TEST(Engine, WriteInvalidatesOtherReplicas) {
   EXPECT_EQ(engine.stats().transfers, 2u);
 }
 
-TEST(Engine, WaitForTaskInPureSimDrainsSimulation) {
-  EngineConfig config = EngineConfig::cpus(2, 10.0);
-  config.mode = ExecutionMode::kPureSim;
-  Engine engine(std::move(config));
-  std::vector<double> data(1);
-  DataHandle* h = engine.register_vector(data.data(), 1);
-  Codelet c;
-  c.name = "sim";
-  c.impls.push_back(Implementation{DeviceKind::kCpu, nullptr});
-  c.flops = [](const std::vector<BufferView>&) { return 1e6; };
-  const TaskId id = engine.submit(TaskDesc{&c, {{h, Access::kReadWrite}}});
-  EXPECT_TRUE(engine.wait(id));
-  EXPECT_FALSE(engine.wait(id + 5));
-  EXPECT_GT(engine.stats().makespan_seconds, 0.0);
-}
-
 TEST(Engine, PureSimSkipsExecutionButModelsTime) {
   EngineConfig config = EngineConfig::cpus(2, 10.0);  // 10 GFLOPS each
   config.mode = ExecutionMode::kPureSim;
@@ -460,31 +444,6 @@ TEST(Engine, PriorityOrdersReadyTasksUnderEager) {
   EXPECT_TRUE(engine.wait_all().ok());
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order, (std::vector<int>{5, 2, 0, -3}));
-}
-
-TEST(Engine, WaitForSpecificTask) {
-  Engine engine(EngineConfig::cpus(2));
-  std::vector<double> a(1), b(1);
-  DataHandle* ha = engine.register_vector(a.data(), 1);
-  DataHandle* hb = engine.register_vector(b.data(), 1);
-
-  Codelet quick = make_codelet("quick", [](const ExecContext& ctx) {
-    ctx.buffer(0)[0] = 1.0;
-  });
-  Codelet slow = make_codelet("slow", [](const ExecContext& ctx) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ctx.buffer(0)[0] = 2.0;
-  });
-  const TaskId slow_id = engine.submit(TaskDesc{&slow, {{hb, Access::kWrite}}});
-  const TaskId quick_id = engine.submit(TaskDesc{&quick, {{ha, Access::kWrite}}});
-
-  EXPECT_TRUE(engine.wait(quick_id));
-  EXPECT_DOUBLE_EQ(a[0], 1.0);
-  EXPECT_TRUE(engine.wait(slow_id));
-  EXPECT_DOUBLE_EQ(b[0], 2.0);
-  EXPECT_FALSE(engine.wait(999));
-  EXPECT_FALSE(engine.wait(0));
-  EXPECT_TRUE(engine.wait_all().ok());
 }
 
 TEST(Engine, ExplicitDependenciesOrderUnrelatedTasks) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -53,7 +54,8 @@ TEST(EngineFlight, SnapshotCarriesTaskLifecycle) {
   ASSERT_TRUE(engine.wait_all().ok());
 
   ASSERT_NE(engine.flight_recorder(), nullptr);
-  const std::vector<obs::FlightEvent> events = engine.flight_snapshot();
+  const std::vector<obs::FlightEvent> events =
+      engine.flight_recorder()->snapshot();
   EXPECT_EQ(count_kind(events, obs::FlightKind::kTaskStart), 4u);
   EXPECT_EQ(count_kind(events, obs::FlightKind::kTaskEnd), 4u);
   for (const obs::FlightEvent& e : events) {
@@ -80,7 +82,6 @@ TEST(EngineFlight, DisabledWhenConfiguredToZero) {
   ASSERT_TRUE(engine.wait_all().ok());
 
   EXPECT_EQ(engine.flight_recorder(), nullptr);
-  EXPECT_TRUE(engine.flight_snapshot().empty());
   EXPECT_FALSE(engine.dump_flight_recorder(temp_prefix("disabled")));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.flight_records, 0u);
@@ -173,43 +174,71 @@ TEST(FlightRecorderStress, SnapshotsStayConsistentWhileProducerWraps) {
   obs::FlightRing ring(16);  // tiny: the producer laps it thousands of times
   constexpr std::uint64_t kRecords = 200000;
 
-  std::thread producer([&ring] {
+  // Half-way through, long after its first lap, the producer waits for
+  // one snapshot: on a loaded host it could otherwise write every record
+  // before the consumer takes any, and the test would check nothing.
+  std::atomic<std::uint64_t> snapshots{0};
+  std::thread producer([&ring, &snapshots] {
     for (std::uint64_t i = 0; i < kRecords; ++i) {
+      if (i == kRecords / 2) {
+        while (snapshots.load() == 0) std::this_thread::yield();
+      }
       ring.record(obs::FlightKind::kQueueDepth, 0, i, 0,
                   static_cast<double>(i), 0.0, static_cast<double>(i));
     }
   });
 
-  std::uint64_t snapshots = 0;
-  std::uint64_t total_events = 0;
+  // The first invariant a snapshot breaks, or "" when it keeps them all:
+  // every surviving record is internally consistent (its payload matches
+  // its sequence number; a torn read would break this) and ordered.
+  const auto violation = [&ring](const std::vector<obs::FlightEvent>& snap) {
+    if (snap.size() > ring.capacity()) {
+      return std::string("more records than the ring's capacity");
+    }
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const obs::FlightEvent& e = snap[i];
+      if (e.task != e.seq || e.value != static_cast<double>(e.seq)) {
+        return "torn record: seq " + std::to_string(e.seq) + " carries task " +
+               std::to_string(e.task) + ", value " + std::to_string(e.value);
+      }
+      if (i > 0 && e.seq <= snap[i - 1].seq) {
+        return "out of order: seq " + std::to_string(e.seq) + " after seq " +
+               std::to_string(snap[i - 1].seq);
+      }
+    }
+    return std::string();
+  };
+  const auto seq_range = [](const std::vector<obs::FlightEvent>& snap) {
+    if (snap.empty()) return std::string("(empty)");
+    return "[" + std::to_string(snap.front().seq) + ", " +
+           std::to_string(snap.back().seq) + "], " +
+           std::to_string(snap.size()) + " record(s)";
+  };
+
   std::vector<obs::FlightEvent> events;
   while (ring.produced() < kRecords) {
     events.clear();
     ring.snapshot_into(events, 0);
-    ASSERT_LE(events.size(), ring.capacity());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      // Every surviving record is internally consistent (payload matches
-      // its sequence number — a torn read would break this) and ordered.
-      EXPECT_EQ(events[i].task, events[i].seq);
-      EXPECT_DOUBLE_EQ(events[i].value, static_cast<double>(events[i].seq));
-      if (i > 0) {
-        EXPECT_GT(events[i].seq, events[i - 1].seq);
-      }
+    const std::uint64_t n = snapshots++;
+    if (const std::string bad = violation(events); !bad.empty()) {
+      ADD_FAILURE() << "snapshot " << n << ", seq range " << seq_range(events)
+                    << ": " << bad;
+      break;  // still join the producer below
     }
-    ++snapshots;
-    total_events += events.size();
   }
   producer.join();
 
-  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(snapshots.load(), 0u) << "the producer wrote all " << kRecords
+                                  << " records before the first snapshot";
   EXPECT_EQ(ring.produced(), kRecords);
   EXPECT_EQ(ring.overwritten(), kRecords - ring.capacity());
 
   // Quiescent ring: the final snapshot is exactly the newest window.
   events.clear();
   ring.snapshot_into(events, 0);
-  ASSERT_EQ(events.size(), ring.capacity());
-  EXPECT_EQ(events.back().seq, kRecords - 1);
+  ASSERT_EQ(events.size(), ring.capacity()) << seq_range(events);
+  EXPECT_EQ(events.back().seq, kRecords - 1) << seq_range(events);
+  EXPECT_TRUE(violation(events).empty()) << violation(events);
 }
 
 }  // namespace

@@ -389,14 +389,6 @@ TEST(TaskGraph, RootLiveIntervalsSpanFirstToLastTouch) {
   EXPECT_EQ(live[static_cast<std::size_t>(idle)].last_task, -1);
 }
 
-TEST(TaskGraph, TotalRootBytesCountsRootsOnly) {
-  TaskGraph g;
-  g.add_buffer("a", 300);
-  const int b = g.add_buffer("b", 700);
-  g.partition(b, 2);  // blocks must not double-count their root's bytes
-  EXPECT_EQ(g.total_root_bytes(), 1000u);
-}
-
 TEST(TaskGraph, SetTaskFlopsIsBoundsChecked) {
   TaskGraph g;
   const int t = g.add_task("t", {});

@@ -2,85 +2,56 @@
 
 #include "starvm/perf_model.hpp"
 
-#include "util/string_util.hpp"
-
 namespace starvm {
 namespace {
 
 TEST(PerfModel, AnalyticFallbackUsesFlopsAndRate) {
   PerfModel model;
   // 1e9 flops at 10 GFLOPS -> 0.1 s.
-  EXPECT_DOUBLE_EQ(model.estimate("k", 0, 1e9, 10.0), 0.1);
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(model.row("k"), 0, 1e9, 10.0), 0.1);
 }
 
 TEST(PerfModel, DefaultEstimateWithoutAnyInformation) {
   PerfModel model;
-  EXPECT_DOUBLE_EQ(model.estimate("k", 0, 0.0, 10.0), 1e-3);
-  EXPECT_DOUBLE_EQ(model.estimate("k", 0, 1e9, 0.0), 1e-3);
+  const PerfModel::Row& row = model.row("k");
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(row, 0, 0.0, 10.0), 1e-3);
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(row, 0, 1e9, 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(PerfModel::default_estimate_seconds(), 1e-3);
+  // Out-of-row devices fall back too.
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(row, PerfModel::kMaxDevices, 0.0, 0.0),
+                   1e-3);
 }
 
 TEST(PerfModel, HistoryOverridesAnalytic) {
   PerfModel model;
-  model.observe("k", 0, 0.5);
-  EXPECT_DOUBLE_EQ(model.estimate("k", 0, 1e9, 10.0), 0.5);
-  EXPECT_EQ(model.samples("k", 0), 1u);
+  PerfModel::Row& row = model.row("k");
+  PerfModel::observe_in(row, 0, 0.5);
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(row, 0, 1e9, 10.0), 0.5);
+  EXPECT_EQ(row[0].count.load(), 1u);
+  EXPECT_EQ(model.history_estimate("k", 0), 0.5);
 }
 
 TEST(PerfModel, EmaConvergesTowardRecentObservations) {
   PerfModel model;
-  model.observe("k", 0, 1.0);
-  for (int i = 0; i < 50; ++i) model.observe("k", 0, 0.1);
-  EXPECT_NEAR(model.estimate("k", 0, 0, 0), 0.1, 0.01);
-  EXPECT_EQ(model.samples("k", 0), 51u);
+  PerfModel::Row& row = model.row("k");
+  PerfModel::observe_in(row, 0, 1.0);
+  for (int i = 0; i < 50; ++i) PerfModel::observe_in(row, 0, 0.1);
+  EXPECT_NEAR(PerfModel::estimate_in(row, 0, 0, 0), 0.1, 0.01);
+  EXPECT_EQ(row[0].count.load(), 51u);
 }
 
 TEST(PerfModel, HistoriesAreKeyedPerCodeletAndDevice) {
   PerfModel model;
-  model.observe("a", 0, 0.1);
-  model.observe("a", 1, 0.2);
-  model.observe("b", 0, 0.3);
-  EXPECT_DOUBLE_EQ(model.estimate("a", 0, 0, 0), 0.1);
-  EXPECT_DOUBLE_EQ(model.estimate("a", 1, 0, 0), 0.2);
-  EXPECT_DOUBLE_EQ(model.estimate("b", 0, 0, 0), 0.3);
-  EXPECT_EQ(model.samples("b", 1), 0u);
-}
-
-TEST(PerfModel, SaveLoadRoundTrip) {
-  PerfModel model;
-  model.observe("dgemm", 0, 0.125);
-  model.observe("dgemm", 0, 0.25);
-  model.observe("potrf", 3, 1.5e-3);
-
-  const std::string path = testing::TempDir() + "/perf_model_test.calib";
-  ASSERT_TRUE(model.save(path));
-
-  PerfModel restored;
-  ASSERT_TRUE(restored.load(path));
-  EXPECT_DOUBLE_EQ(restored.estimate("dgemm", 0, 0, 0),
-                   model.estimate("dgemm", 0, 0, 0));
-  EXPECT_EQ(restored.samples("dgemm", 0), 2u);
-  EXPECT_DOUBLE_EQ(restored.estimate("potrf", 3, 0, 0), 1.5e-3);
-}
-
-TEST(PerfModel, LoadMergesIntoExistingHistory) {
-  PerfModel a;
-  a.observe("x", 0, 1.0);
-  const std::string path = testing::TempDir() + "/perf_model_merge.calib";
-  ASSERT_TRUE(a.save(path));
-
-  PerfModel b;
-  b.observe("y", 1, 2.0);
-  ASSERT_TRUE(b.load(path));
-  EXPECT_DOUBLE_EQ(b.estimate("x", 0, 0, 0), 1.0);  // loaded
-  EXPECT_DOUBLE_EQ(b.estimate("y", 1, 0, 0), 2.0);  // kept
-}
-
-TEST(PerfModel, LoadRejectsMissingOrMalformedFiles) {
-  PerfModel model;
-  EXPECT_FALSE(model.load("/no/such/calibration.file"));
-  const std::string path = testing::TempDir() + "/perf_model_bad.calib";
-  ASSERT_TRUE(pdl::util::write_file(path, "dgemm zero not-a-number\n"));
-  EXPECT_FALSE(model.load(path));
+  PerfModel::observe_in(model.row("a"), 0, 0.1);
+  PerfModel::observe_in(model.row("a"), 1, 0.2);
+  PerfModel::observe_in(model.row("b"), 0, 0.3);
+  EXPECT_EQ(&model.row("a"), &model.row("a"));  // stable, created once
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(model.row("a"), 0, 0, 0), 0.1);
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(model.row("a"), 1, 0, 0), 0.2);
+  EXPECT_DOUBLE_EQ(PerfModel::estimate_in(model.row("b"), 0, 0, 0), 0.3);
+  EXPECT_EQ(model.row("b")[1].count.load(), 0u);
+  EXPECT_FALSE(model.history_estimate("b", 1).has_value());
+  EXPECT_FALSE(model.history_estimate("unseen", 0).has_value());
 }
 
 TEST(TransferSeconds, LatencyPlusBandwidth) {

@@ -433,7 +433,8 @@ TEST(PerfStoreEngine, DeterministicReplayIsByteStableWithAStoreLoaded) {
     }
     engine.submit_batch(std::move(batch));
     EXPECT_TRUE(engine.wait_all().ok());
-    return to_chrome_trace(engine.stats());
+    const EngineStats stats = engine.stats();
+    return merged_chrome_trace({}, &stats);
   };
 
   const std::string first = run_once();

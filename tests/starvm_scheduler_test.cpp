@@ -183,9 +183,6 @@ TEST(SchedulerKindStrings, Roundtrip) {
   EXPECT_EQ(to_string(SchedulerKind::kHeft), "heft");
   EXPECT_EQ(to_string(DeviceKind::kCpu), "cpu");
   EXPECT_EQ(to_string(DeviceKind::kAccelerator), "accelerator");
-  EXPECT_EQ(to_string(Access::kRead), "read");
-  EXPECT_EQ(to_string(Access::kWrite), "write");
-  EXPECT_EQ(to_string(Access::kReadWrite), "readwrite");
 }
 
 }  // namespace

@@ -28,8 +28,13 @@ EngineStats sample_stats() {
   return engine.stats();
 }
 
+/// The engine lanes alone: no toolchain spans.
+std::string engine_trace(const EngineStats& stats) {
+  return merged_chrome_trace({}, &stats);
+}
+
 TEST(ChromeTrace, ContainsDeviceMetadataAndTaskEvents) {
-  const std::string json = to_chrome_trace(sample_stats());
+  const std::string json = engine_trace(sample_stats());
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
@@ -37,7 +42,7 @@ TEST(ChromeTrace, ContainsDeviceMetadataAndTaskEvents) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"t\""), std::string::npos);
   EXPECT_NE(json.find("\"flops\":1e+08"), std::string::npos);
-  // 2 metadata events + 4 task events.
+  // 2 process_name + 2 thread_name metadata events, 4 task events.
   const auto count = [&](const char* needle) {
     std::size_t n = 0, pos = 0;
     while ((pos = json.find(needle, pos)) != std::string::npos) {
@@ -46,7 +51,7 @@ TEST(ChromeTrace, ContainsDeviceMetadataAndTaskEvents) {
     }
     return n;
   };
-  EXPECT_EQ(count("\"ph\":\"M\""), 2u);
+  EXPECT_EQ(count("\"ph\":\"M\""), 4u);
   EXPECT_EQ(count("\"ph\":\"X\""), 4u);
 }
 
@@ -55,14 +60,20 @@ TEST(ChromeTrace, EscapesLabels) {
   stats.devices.push_back(DeviceStats{"dev\"1\"", DeviceKind::kCpu, 0, 0, 0});
   stats.trace.push_back(TaskTrace{1, "a\"b\\c\n", 0, 0.0, 1.0, 0.0, 1.0, 0.0});
   stats.makespan_seconds = 1.0;
-  const std::string json = to_chrome_trace(stats);
+  const std::string json = engine_trace(stats);
   EXPECT_NE(json.find("a\\\"b\\\\c\\n"), std::string::npos);
   EXPECT_NE(json.find("dev\\\"1\\\""), std::string::npos);
 }
 
 TEST(ChromeTrace, EmptyStatsYieldEmptyValidArray) {
-  const std::string json = to_chrome_trace(EngineStats{});
-  EXPECT_EQ(json, "[]");
+  // Nothing but the two process lanes' names: no device rows, no events.
+  const EngineStats empty;
+  const std::string json = engine_trace(empty);
+  EXPECT_EQ(json,
+            "[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+            "\"args\":{\"name\":\"toolchain wall time\"}},"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
+            "\"args\":{\"name\":\"engine virtual time\"}}]");
   EXPECT_TRUE(testjson::parse(json).ok);
 }
 
@@ -70,7 +81,7 @@ TEST(ChromeTrace, ZeroDurationTaskStillRenders) {
   EngineStats stats;
   stats.devices.push_back(DeviceStats{"cpu0", DeviceKind::kCpu, 1, 0.0, 0.0});
   stats.trace.push_back(TaskTrace{1, "instant", 0, 2.0, 2.0, 0.0, 0.0, 0.0});
-  const std::string json = to_chrome_trace(stats);
+  const std::string json = engine_trace(stats);
   const auto parsed = testjson::parse(json);
   ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << json;
   EXPECT_TRUE(testjson::contains_string(parsed, "instant"));
@@ -86,7 +97,7 @@ TEST(ChromeTrace, DegenerateDurationsClampToZero) {
   stats.trace.push_back(TaskTrace{1, "bad_start", 0, nan, 1.0, 0.0, 0.0, 1.0});
   stats.trace.push_back(TaskTrace{2, "backwards", 0, 5.0, 1.0, 0.0, 0.0, 1.0});
   stats.trace.push_back(TaskTrace{3, "bad_xfer", 0, 0.0, 1.0, inf, -2.0, 1.0});
-  const std::string json = to_chrome_trace(stats);
+  const std::string json = engine_trace(stats);
   const auto parsed = testjson::parse(json);
   ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << json;
   EXPECT_EQ(json.find(":nan"), std::string::npos);
@@ -102,7 +113,7 @@ TEST(ChromeTrace, NonFiniteFlopsOmitted) {
   stats.devices.push_back(DeviceStats{"cpu0", DeviceKind::kCpu, 1, 0.0, 0.0});
   stats.trace.push_back(
       TaskTrace{1, "t", 0, 0.0, 1.0, 0.0, 1.0, std::nan("")});
-  const std::string json = to_chrome_trace(stats);
+  const std::string json = engine_trace(stats);
   ASSERT_TRUE(testjson::parse(json).ok);
   EXPECT_EQ(json.find("\"flops\""), std::string::npos);
 }
@@ -111,12 +122,12 @@ TEST(ChromeTrace, UnassignedTasksGetTheirOwnLane) {
   EngineStats stats;
   stats.devices.push_back(DeviceStats{"cpu0", DeviceKind::kCpu, 0, 0.0, 0.0});
   stats.trace.push_back(TaskTrace{1, "orphan", -1, 0.0, 1.0, 0.0, 1.0, 0.0});
-  const std::string json = to_chrome_trace(stats);
+  const std::string json = engine_trace(stats);
   const auto parsed = testjson::parse(json);
   ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << json;
   EXPECT_TRUE(testjson::contains_string(parsed, "unassigned"));
   // The orphan renders on the extra lane after the last device (tid 1 here).
-  EXPECT_NE(json.find("\"name\":\"orphan\",\"ph\":\"X\",\"pid\":1,\"tid\":1"),
+  EXPECT_NE(json.find("\"name\":\"orphan\",\"ph\":\"X\",\"pid\":2,\"tid\":1"),
             std::string::npos);
 }
 
@@ -125,7 +136,7 @@ TEST(ChromeTrace, HostileLabelsSurviveARoundTrip) {
   EngineStats stats;
   stats.devices.push_back(DeviceStats{"dev", DeviceKind::kCpu, 1, 0.0, 0.0});
   stats.trace.push_back(TaskTrace{1, label, 0, 0.0, 1.0, 0.0, 1.0, 0.0});
-  const std::string json = to_chrome_trace(stats);
+  const std::string json = engine_trace(stats);
   const auto parsed = testjson::parse(json);
   ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << json;
   EXPECT_TRUE(testjson::contains_string(parsed, label));

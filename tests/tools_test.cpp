@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <regex>
 #include <string>
 #include <utility>
 
@@ -130,7 +131,7 @@ TEST_F(ToolsTest, PdltoolDiffDetectsChanges) {
   auto text = pdl::util::read_file(pdl_path_);
   ASSERT_TRUE(text.has_value());
   ASSERT_TRUE(pdl::util::write_file(
-      modified, pdl::util::replace_all(*text, ">x86<", ">arm<")));
+      modified, std::regex_replace(*text, std::regex(">x86<"), ">arm<")));
   EXPECT_EQ(run(kPdltool + " diff " + pdl_path_ + " " + modified, &output), 1);
   EXPECT_NE(output.find("property-changed"), std::string::npos);
 }

@@ -30,7 +30,7 @@ TEST(XmlParser, ParsesNestedElementsInOrder) {
   EXPECT_EQ(children[0]->name(), "b");
   EXPECT_EQ(children[1]->name(), "c");
   EXPECT_EQ(children[2]->name(), "b");
-  ASSERT_NE(children[1]->first_child("d"), nullptr);
+  EXPECT_EQ(children[1]->child_elements("d").size(), 1u);
 }
 
 TEST(XmlParser, ParsesAttributesWithBothQuoteStyles) {
@@ -146,29 +146,32 @@ TEST(XmlParser, WhitespaceTextDroppedByDefaultKeptOnRequest) {
   EXPECT_EQ(kept.value().root()->children().size(), 3u);
 }
 
-TEST(XmlParser, NamespaceResolutionWalksAncestors) {
+TEST(XmlParser, PrefixedNamesAndXmlnsKeptAsWritten) {
+  // Prefixed names and xmlns declarations are kept as written; binding a
+  // prefix to its URI is the PDL layer's job (A105).
   auto doc = parse(
       R"(<root xmlns:ocl="urn:ocl" xmlns="urn:default">
            <child><ocl:name/></child>
          </root>)");
   ASSERT_TRUE(doc.ok());
-  const Element* child = doc.value().root()->first_child("child");
-  ASSERT_NE(child, nullptr);
-  const Element* name = child->first_child("ocl:name");
-  ASSERT_NE(name, nullptr);
-  EXPECT_EQ(name->prefix(), "ocl");
-  EXPECT_EQ(name->local_name(), "name");
-  EXPECT_EQ(name->resolve_namespace("ocl"), "urn:ocl");
-  EXPECT_EQ(name->resolve_namespace(""), "urn:default");
-  EXPECT_FALSE(name->resolve_namespace("unbound").has_value());
+  const Element* root = doc.value().root();
+  EXPECT_EQ(root->attribute("xmlns:ocl"), "urn:ocl");
+  EXPECT_EQ(root->attribute("xmlns"), "urn:default");
+  const auto child = root->child_elements("child");
+  ASSERT_EQ(child.size(), 1u);
+  const auto name = child[0]->child_elements("ocl:name");
+  ASSERT_EQ(name.size(), 1u);
+  EXPECT_EQ(name[0]->local_name(), "name");
+  EXPECT_EQ(name[0]->parent(), child[0]);
 }
 
 TEST(XmlParser, TracksSourcePositions) {
   auto doc = parse("<a>\n  <b/>\n</a>");
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.value().root()->pos().line, 1);
-  const Element* b = doc.value().root()->first_child("b");
-  ASSERT_NE(b, nullptr);
+  const auto children = doc.value().root()->child_elements("b");
+  ASSERT_EQ(children.size(), 1u);
+  const Element* b = children[0];
   EXPECT_EQ(b->pos().line, 2);
   EXPECT_EQ(b->pos().column, 3);
 }
@@ -206,11 +209,6 @@ TEST(XmlParser, DecodeEntitiesRejectsInvalidScalarValues) {
   EXPECT_EQ(decode_entities("&#x10FFFF;").value(), "\xF4\x8F\xBF\xBF");
 }
 
-TEST(XmlParser, ParseFileErrorsOnMissingFile) {
-  auto doc = parse_file("/does/not/exist.xml");
-  ASSERT_FALSE(doc.ok());
-}
-
 // Property-style sweep: documents of increasing width parse and preserve
 // child counts.
 class XmlWidthTest : public testing::TestWithParam<int> {};
@@ -243,8 +241,9 @@ TEST_P(XmlDepthTest, DeepDocumentsParse) {
   ASSERT_TRUE(doc.ok());
   const Element* e = doc.value().root();
   for (int i = 1; i < depth; ++i) {
-    e = e->first_child("n");
-    ASSERT_NE(e, nullptr);
+    const auto children = e->child_elements("n");
+    ASSERT_EQ(children.size(), 1u);
+    e = children[0];
   }
 }
 

@@ -118,15 +118,6 @@ TEST(XmlWriter, CompactModeHasNoWhitespace) {
   EXPECT_EQ(write(doc, options), "<a><b>t</b></a>");
 }
 
-TEST(XmlWriter, SubtreeOverloadSerializesWithoutDeclaration) {
-  Document doc;
-  Element* root = doc.create_root("a");
-  Element* child = root->append_element("b");
-  child->set_attribute("x", "1");
-  const std::string text = write(*child, {.pretty = false});
-  EXPECT_EQ(text, "<b x=\"1\"/>");
-}
-
 TEST(XmlWriter, AttributeControlCharactersRoundTrip) {
   Document doc;
   doc.create_root("e")->set_attribute("a", "line1\nline2\tend");
